@@ -9,6 +9,7 @@ no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -40,6 +41,13 @@ ENV_OUTPUT_DIR = "WIGNERALG_OUTPUT_DIR"
 
 USAGE_ERROR = 2
 
+# Largest matrix dimension a command may build: --dim, the product of --dims,
+# --two-j + 1 and --max-two-j + 1 (two-mode up to 21 x 21).
+MAX_MATRIX_DIM = 441
+# Largest --max-n; the realization audit grows roughly as max_n**4 and takes
+# about two minutes at 50 on a 2-core machine.
+MAX_N = 50
+
 
 class UsageError(Exception):
     pass
@@ -60,18 +68,29 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for nu in self.nu_values:
-            if nu <= -0.5:
-                raise UsageError(f"--nu must be > -1/2, got {nu}")
+            if not math.isfinite(nu) or nu <= -0.5:
+                raise UsageError(f"--nu must be finite and > -1/2, got {nu}")
         if self.fmt == "csv" and len(self.nu_values) != 1:
             raise UsageError("CSV export is numeric-only and needs exactly one --nu value")
-        if self.fmt == "json" and self.nu_values and self.command != "verify":
+        if self.fmt != "csv" and self.nu_values:
             raise UsageError("--nu only applies to --format csv exports")
-        if self.max_n is not None and self.max_n < 0:
-            raise UsageError("--max-n must be nonnegative")
+        if self.max_n is not None and not 0 <= self.max_n <= MAX_N:
+            raise UsageError(f"--max-n must be between 0 and {MAX_N}")
         if self.dims is not None and any(d < 2 for d in self.dims):
             raise UsageError("--dims values must be at least 2")
         if self.dim is not None and self.dim < 2:
             raise UsageError("--dim must be at least 2")
+        sizes = {
+            "--dim": self.dim,
+            "--dims": None if self.dims is None else self.dims[0] * self.dims[1],
+            "--two-j": None if self.two_j is None else self.two_j + 1,
+            "--max-two-j": self.max_two_j + 1,
+        }
+        for flag, size in sizes.items():
+            if size is not None and size > MAX_MATRIX_DIM:
+                raise UsageError(
+                    f"{flag} asks for a {size}-dim matrix; the largest allowed is {MAX_MATRIX_DIM}"
+                )
 
 
 def _exit_code(reports: Sequence[AlgebraReport], strict: bool) -> int:

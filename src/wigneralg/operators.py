@@ -7,7 +7,7 @@ like sparse ones without any extra machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
@@ -108,9 +108,7 @@ class OperatorMatrix:
 
     @staticmethod
     def zeros(basis: Sequence[BasisLabel]) -> "OperatorMatrix":
-        zero = RadicalSum.zero()
-        dim = len(basis)
-        return OperatorMatrix(basis, tuple((zero,) * dim for _ in range(dim)))
+        return OperatorMatrix.from_entries(basis, {})
 
     @staticmethod
     def identity(basis: Sequence[BasisLabel]) -> "OperatorMatrix":
@@ -118,16 +116,9 @@ class OperatorMatrix:
 
     @staticmethod
     def diagonal(values: Sequence, basis: Sequence[BasisLabel]) -> "OperatorMatrix":
-        dim = len(basis)
-        if len(values) != dim:
+        if len(values) != len(basis):
             raise ValueError("diagonal length must match basis size")
-        zero = RadicalSum.zero()
-        rows = []
-        for i in range(dim):
-            row = [zero] * dim
-            row[i] = RadicalSum.coerce(values[i])
-            rows.append(tuple(row))
-        return OperatorMatrix(basis, rows)
+        return OperatorMatrix.from_entries(basis, {(i, i): v for i, v in enumerate(values)})
 
     @staticmethod
     def from_entries(basis: Sequence[BasisLabel], entries: Dict[Tuple[int, int], RadicalSum]) -> "OperatorMatrix":
@@ -330,8 +321,39 @@ def check_relation(
     return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
 
 
-def check_specs(specs: Iterable[RelationSpec]) -> List[AlgebraReport]:
-    return [check_relation(*spec) for spec in specs]
+@dataclass(frozen=True)
+class Caveat:
+    """A known qualification of a relation, keyed by its exact relation id.
+
+    When ``printed_rhs`` is set the relation's printed form (same lhs and
+    mask, this rhs) is checked too, and the caveat quotes its first witness.
+    """
+
+    text: str
+    printed_rhs: Optional[OperatorMatrix] = None
+
+
+def check_specs(
+    specs: Iterable[RelationSpec], caveats: Optional[Dict[str, Caveat]] = None
+) -> List[AlgebraReport]:
+    """Check every spec; a PASS whose relation id has a caveat becomes PASS_WITH_CAVEAT."""
+    reports = []
+    for spec in specs:
+        report = check_relation(*spec)
+        caveat = caveats.get(spec.relation_id) if caveats else None
+        if caveat is not None and report.verdict is Verdict.PASS:
+            text, witness = caveat.text, None
+            if caveat.printed_rhs is not None:
+                printed = RelationSpec(spec.relation_id, spec.lhs, caveat.printed_rhs, spec.mask)
+                witness = check_relation(*printed).witness
+                text = (
+                    f"{text} (first witness {witness})"
+                    if witness is not None
+                    else "printed coefficient unexpectedly passed"
+                )
+            report = replace(report, verdict=Verdict.PASS_WITH_CAVEAT, caveat=text, witness=witness)
+        reports.append(report)
+    return reports
 
 
 def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
@@ -359,14 +381,10 @@ def numeric_relation_report(
         worst = max(worst, residual)
         if residual > tol * (1.0 + float(np.linalg.norm(le))):
             ok = False
-    if ok:
-        return AlgebraReport(
-            f"{spec.relation_id} @ numeric-grid", CheckMode.NUMERIC, worst, Verdict.PASS
-        )
     return AlgebraReport(
         f"{spec.relation_id} @ numeric-grid",
         CheckMode.NUMERIC,
         worst,
-        Verdict.FAIL,
-        witness=Witness(-1, -1, "residual <= 1e-12*(1+|lhs|)", f"residual {worst}"),
+        Verdict.PASS if ok else Verdict.FAIL,
+        witness=None if ok else Witness(-1, -1, "residual <= 1e-12*(1+|lhs|)", f"residual {worst}"),
     )

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .reports import AlgebraReport, CheckMode, Verdict, Witness
+from .reports import AlgebraReport, Witness, exact_report
 from .scalars import (
     GR_ONE,
     GR_ZERO,
@@ -31,6 +31,7 @@ from .scalars import (
     NuPolynomial,
     RadicalSum,
     deformed_number,
+    format_terms,
 )
 
 Key = Tuple[int, int]  # (x degree, delta degree)
@@ -55,14 +56,6 @@ class BiPolynomial:
     @staticmethod
     def one() -> "BiPolynomial":
         return BP_ONE
-
-    @staticmethod
-    def x() -> "BiPolynomial":
-        return BP_X
-
-    @staticmethod
-    def delta() -> "BiPolynomial":
-        return BP_DELTA
 
     @staticmethod
     def constant(value) -> "BiPolynomial":
@@ -136,31 +129,16 @@ class BiPolynomial:
         )
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (xd, dd), c in sorted(self.terms, key=lambda t: (-t[0][0], t[0][1])):
-            mono = []
-            if xd:
-                mono.append("x" if xd == 1 else f"x^{xd}")
-            if dd:
-                mono.append("d" if dd == 1 else f"d^{dd}")
-            body = "*".join(mono)
-            text = str(c)
-            if not body:
-                parts.append(text)
-            elif text == "1":
-                parts.append(body)
-            elif text == "-1":
-                parts.append(f"-{body}")
-            else:
-                if "/" in text or "i" in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        def monomial(xd: int, dd: int) -> str:
+            x = "" if not xd else "x" if xd == 1 else f"x^{xd}"
+            d = "" if not dd else "d" if dd == 1 else f"d^{dd}"
+            return "*".join(part for part in (x, d) if part)
+
+        terms = sorted(self.terms, key=lambda t: (-t[0][0], t[0][1]))
+        return format_terms(
+            ((str(c), monomial(xd, dd)) for (xd, dd), c in terms),
+            lambda text: "/" in text or "i" in text,
+        )
 
 
 BP_ZERO = BiPolynomial()
@@ -300,19 +278,8 @@ def apply_basis_linear(raw_op, f: BiPolynomial, basis: QuasiPolyBasis) -> BiPoly
 
 def _poly_family_report(relation_id, pairs, caveat=None) -> AlgebraReport:
     """Exact equality of (lhs, rhs) BiPolynomial pairs indexed by n."""
-    for n, lhs, rhs in pairs:
-        if lhs != rhs:
-            return AlgebraReport(
-                relation_id,
-                CheckMode.EXACT,
-                float("nan"),
-                Verdict.FAIL,
-                caveat=caveat,
-                witness=Witness(n, 0, str(rhs), str(lhs)),
-            )
-    if caveat is not None:
-        return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS_WITH_CAVEAT, caveat=caveat)
-    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    witness = next((Witness(n, 0, str(rhs), str(lhs)) for n, lhs, rhs in pairs if lhs != rhs), None)
+    return exact_report(relation_id, witness, caveat)
 
 
 def audit_realizations(max_n: int) -> List[AlgebraReport]:
@@ -420,16 +387,13 @@ def realization_matrix_consistency(max_n: int) -> AlgebraReport:
         monomial_coeff = monomial_lowering(monomial_basis(n)).x_coefficient(n - 1)
         quasi_coeff = phi_coefficients(quasi_lowering(basis.phi(n)), basis)[n - 1]
         if abstract_sq != expected or monomial_coeff != deformed_number(n) or quasi_coeff != deformed_number(n):
-            return AlgebraReport(
+            return exact_report(
                 relation_id,
-                CheckMode.EXACT,
-                float("nan"),
-                Verdict.FAIL,
-                witness=Witness(
+                Witness(
                     n,
                     0,
                     str(deformed_number(n)),
                     f"monomial {monomial_coeff}, quasi {quasi_coeff}, abstract^2 {abstract_sq}",
                 ),
             )
-    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    return exact_report(relation_id)

@@ -73,3 +73,15 @@ class AlgebraReport:
                 "actual": self.witness.actual,
             }
         return out
+
+
+def exact_report(
+    relation_id: str, witness: Optional[Witness] = None, caveat: Optional[str] = None
+) -> AlgebraReport:
+    """Report of an exact check: FAIL (residual nan) with a witness, else PASS or PASS_WITH_CAVEAT."""
+    if witness is not None:
+        return AlgebraReport(
+            relation_id, CheckMode.EXACT, float("nan"), Verdict.FAIL, caveat=caveat, witness=witness
+        )
+    verdict = Verdict.PASS if caveat is None else Verdict.PASS_WITH_CAVEAT
+    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, verdict, caveat=caveat)

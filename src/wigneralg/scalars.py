@@ -18,10 +18,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NegativeRadicandError
-from .reports import AlgebraReport, CheckMode, Verdict, Witness
+from .reports import AlgebraReport, Witness, exact_report
 
 # Exact rational coefficients are plain stdlib fractions: always reduced,
 # positive denominator, canonical 0/1 zero.
@@ -129,6 +129,31 @@ HALF = Fraction(1, 2)
 ########################################################################
 #   Polynomials in nu
 ########################################################################
+
+
+def format_terms(terms: Iterable[Tuple[str, str]], needs_parens: Callable[[str], bool]) -> str:
+    """Signed sum of (coefficient text, monomial text) terms; "0" when there are none.
+
+    An empty monomial prints the coefficient alone, a coefficient of 1 or -1
+    prints the bare (negated) monomial, and any other coefficient is joined to
+    its monomial by "*", parenthesized when ``needs_parens`` says so.
+    """
+    parts = []
+    for text, mono in terms:
+        if not mono:
+            parts.append(text)
+        elif text == "1":
+            parts.append(mono)
+        elif text == "-1":
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"({text})*{mono}" if needs_parens(text) else f"{text}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 class NuPolynomial:
@@ -266,28 +291,14 @@ class NuPolynomial:
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            mono = "1" if k == 0 else ("nu" if k == 1 else f"nu^{k}")
-            text = str(c)
-            if k == 0:
-                parts.append(text)
-            elif text == "1":
-                parts.append(mono)
-            elif text == "-1":
-                parts.append(f"-{mono}")
-            else:
-                if "/" in text or "i" in text:
-                    text = f"({text})" if not text.startswith("(") else text
-                parts.append(f"{text}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_terms(
+            (
+                (str(c), "" if k == 0 else "nu" if k == 1 else f"nu^{k}")
+                for k, c in enumerate(self.coeffs)
+                if not c.is_zero
+            ),
+            lambda text: ("/" in text or "i" in text) and not text.startswith("("),
+        )
 
 
 P_ZERO = NuPolynomial()
@@ -526,27 +537,15 @@ class RadicalSum:
         return max((rad.degree for _, rad in self.terms), default=-1)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for coeff, rad in self.terms:
-            ctext = str(coeff)
-            if rad == P_ONE:
-                parts.append(ctext if len(coeff.coeffs) == 1 else f"({ctext})")
-                continue
-            root = f"sqrt({rad})"
-            if ctext == "1":
-                parts.append(root)
-            elif ctext == "-1":
-                parts.append(f"-{root}")
-            else:
-                if " " in ctext or "/" in ctext or "i" in ctext:
-                    ctext = f"({ctext})"
-                parts.append(f"{ctext}*{root}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        def term(coeff: NuPolynomial, rad: NuPolynomial) -> Tuple[str, str]:
+            if rad != P_ONE:
+                return str(coeff), f"sqrt({rad})"
+            return (str(coeff) if len(coeff.coeffs) == 1 else f"({coeff})"), ""
+
+        return format_terms(
+            (term(coeff, rad) for coeff, rad in self.terms),
+            lambda text: " " in text or "/" in text or "i" in text,
+        )
 
 
 R_ZERO = RadicalSum()
@@ -612,21 +611,14 @@ def check_pair_identities(n: int) -> AlgebraReport:
     """[n] + [n+1] = 2n+1+2nu  and  [n+2] - [n] = 2, exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    relation_id = f"numbers: [n]+[n+1]=2n+1+2nu and [n+2]-[n]=2 (n={n})"
-    lhs_sum = deformed_number(n) + deformed_number(n + 1)
-    rhs_sum = NuPolynomial.from_coeffs([2 * n + 1, 2])
-    lhs_gap = deformed_number(n + 2) - deformed_number(n)
-    rhs_gap = NuPolynomial.constant(2)
-    for lhs, rhs in ((lhs_sum, rhs_sum), (lhs_gap, rhs_gap)):
-        if lhs != rhs:
-            return AlgebraReport(
-                relation_id,
-                CheckMode.EXACT,
-                float("nan"),
-                Verdict.FAIL,
-                witness=Witness(n, 0, str(rhs), str(lhs)),
-            )
-    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    pairs = (
+        (deformed_number(n) + deformed_number(n + 1), NuPolynomial.from_coeffs([2 * n + 1, 2])),
+        (deformed_number(n + 2) - deformed_number(n), NuPolynomial.constant(2)),
+    )
+    return exact_report(
+        f"numbers: [n]+[n+1]=2n+1+2nu and [n+2]-[n]=2 (n={n})",
+        next((Witness(n, 0, str(rhs), str(lhs)) for lhs, rhs in pairs if lhs != rhs), None),
+    )
 
 
 def _cross_identity_closed_form(m: int, n: int) -> NuPolynomial:
@@ -669,12 +661,9 @@ def check_cross_identity(m: int, n: int) -> AlgebraReport:
         ("piecewise form", _cross_identity_piecewise(m, n)),
     ):
         if direct != candidate:
-            return AlgebraReport(
+            return exact_report(
                 relation_id,
-                CheckMode.EXACT,
-                float("nan"),
-                Verdict.FAIL,
-                caveat=f"{name} disagrees with the direct expansion",
-                witness=Witness(m, n, str(candidate), str(direct)),
+                Witness(m, n, str(candidate), str(direct)),
+                f"{name} disagrees with the direct expansion",
             )
-    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    return exact_report(relation_id)

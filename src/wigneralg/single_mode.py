@@ -20,7 +20,7 @@ from .operators import (
     commutator,
     fock_basis,
 )
-from .reports import AlgebraReport, CheckMode, Verdict, Witness
+from .reports import AlgebraReport, Verdict, Witness, exact_report
 from .scalars import P_NU, P_TWO_NU, NuPolynomial, RadicalSum, deformed_number
 
 
@@ -112,12 +112,6 @@ def truncation_defect_report(s: SingleModeSet) -> AlgebraReport:
     expected = RadicalSum.from_polynomial(-deformed_number(s.dim))
     if defect != expected:
         problems.append(f"defect {defect} differs from -[{s.dim}] = {expected}")
-    if problems:
-        return AlgebraReport(
-            relation_id,
-            CheckMode.EXACT,
-            float("nan"),
-            Verdict.FAIL,
-            witness=Witness(top, top, str(expected), "; ".join(problems)),
-        )
-    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    return exact_report(
+        relation_id, Witness(top, top, str(expected), "; ".join(problems)) if problems else None
+    )

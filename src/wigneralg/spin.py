@@ -33,6 +33,7 @@ from .errors import (
 )
 from .operators import (
     NU_GRID,
+    Caveat,
     OperatorMatrix,
     RelationSpec,
     anticommutator,
@@ -43,7 +44,7 @@ from .operators import (
     fock_basis,
     spin_basis,
 )
-from .reports import AlgebraReport, CheckMode, Verdict, Witness
+from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import (
     GR_I,
     GaussianRational,
@@ -266,6 +267,9 @@ def _odd_bracket_rhs(rep: SuNu2Rep, doubled_j: bool) -> OperatorMatrix:
     return rep.j0.scale(2) + rep.r_j.scale(coeff)
 
 
+ODD_BRACKET_ID = "odd 2j: [J+,J-] = 2J0 + 2nu(2nu+2j+1) R_J (derived coefficient)"
+
+
 def condensed_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     """Condensed odd/even-2j identities with the derived odd coefficient."""
     zero = OperatorMatrix.zeros(rep.basis)
@@ -275,11 +279,7 @@ def condensed_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
             RelationSpec("odd 2j: Q = 0", rep.q_op, zero),
             RelationSpec("odd 2j: K = R_J", rep.k_op, rep.r_j),
             RelationSpec("odd 2j: P = 2j R_J", rep.p_op, rep.r_j.scale(rep.two_j)),
-            RelationSpec(
-                "odd 2j: [J+,J-] = 2J0 + 2nu(2nu+2j+1) R_J (derived coefficient)",
-                bracket,
-                _odd_bracket_rhs(rep, doubled_j=True),
-            ),
+            RelationSpec(ODD_BRACKET_ID, bracket, _odd_bracket_rhs(rep, doubled_j=True)),
         ]
     two_nu_rj = rep.r_j.scale(P_TWO_NU)
     return [
@@ -302,35 +302,11 @@ def audit_condensed_forms(rep: SuNu2Rep) -> List[AlgebraReport]:
     2nu(2nu+2j+1) and records the discrepancy as a caveat so that non-strict
     runs stay green while strict runs surface it.
     """
-    reports = check_specs(condensed_relation_specs(rep))
+    caveats = {}
     if rep.two_j % 2 == 1:
-        printed = check_relation(
-            "odd 2j: [J+,J-] = 2J0 + 2nu(2nu+j+1) R_J (printed coefficient)",
-            commutator(rep.j_plus, rep.j_minus),
-            _odd_bracket_rhs(rep, doubled_j=False),
-        )
-        out = []
-        for report in reports:
-            if report.relation_id.startswith("odd 2j: [J+,J-]") and report.passed:
-                out.append(
-                    AlgebraReport(
-                        report.relation_id,
-                        report.mode,
-                        report.max_residual,
-                        Verdict.PASS_WITH_CAVEAT,
-                        caveat=(
-                            "printed coefficient 2nu(2nu+j+1) fails"
-                            f" (first witness {printed.witness})"
-                            if printed.verdict is Verdict.FAIL
-                            else "printed coefficient unexpectedly passed"
-                        ),
-                        witness=printed.witness,
-                    )
-                )
-            else:
-                out.append(report)
-        return out
-    return reports
+        printed = _odd_bracket_rhs(rep, doubled_j=False)
+        caveats[ODD_BRACKET_ID] = Caveat("printed coefficient 2nu(2nu+j+1) fails", printed)
+    return check_specs(condensed_relation_specs(rep), caveats)
 
 
 ########################################################################
@@ -425,25 +401,15 @@ def audit_hp(rep: HPRep) -> List[AlgebraReport]:
         worst = max(worst, gap)
         if gap > 1e-12 * (1.0 + float(np.max(np.abs(js_diag)))):
             ok = False
-    if ok:
-        reports.append(
-            AlgebraReport(
-                "HP: [J+,J-] spectrum matches the even-2j block @ numeric-grid",
-                CheckMode.NUMERIC,
-                worst,
-                Verdict.PASS,
-            )
+    reports.append(
+        AlgebraReport(
+            "HP: [J+,J-] spectrum matches the even-2j block @ numeric-grid",
+            CheckMode.NUMERIC,
+            worst,
+            Verdict.PASS if ok else Verdict.FAIL,
+            witness=None if ok else Witness(-1, -1, "spectra within 1e-12", f"max gap {worst}"),
         )
-    else:
-        reports.append(
-            AlgebraReport(
-                "HP: [J+,J-] spectrum matches the even-2j block @ numeric-grid",
-                CheckMode.NUMERIC,
-                worst,
-                Verdict.FAIL,
-                witness=Witness(-1, -1, "spectra within 1e-12", f"max gap {worst}"),
-            )
-        )
+    )
     return reports
 
 
@@ -472,6 +438,16 @@ SO3_BRACKET_CAVEAT = (
     "printed bracket 2Lz + 2nu P + 2nu(2nu+1) K omits the factor i/2 forced by "
     "Lx = (J+ + J-)/2 and Ly = (i/2)(J- - J+); audited in the derived form"
 )
+SO3_BRACKET_ID = "[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K)"
+SO3_ODD_BRACKET_ID = "odd 2j: [Lx,Ly] = i(Lz + nu(2nu+2j+1) R_L) (derived)"
+SO3_EVEN_BRACKET_ID = "even 2j: [Lx,Ly] = i Lz(1 + 2nu R_L) (derived)"
+SO3_CAVEATS = {
+    SO3_BRACKET_ID: Caveat(SO3_BRACKET_CAVEAT),
+    SO3_ODD_BRACKET_ID: Caveat(
+        SO3_BRACKET_CAVEAT + "; printed odd coefficient 2nu(2nu+j+1) also fails (see errata)"
+    ),
+    SO3_EVEN_BRACKET_ID: Caveat(SO3_BRACKET_CAVEAT),
+}
 
 
 def _so3_bracket_rhs(rep: SoNu3Rep) -> OperatorMatrix:
@@ -489,11 +465,7 @@ def so_nu3_relation_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     return [
         RelationSpec("[Lz,Lx] = i Ly", commutator(rep.l_z, rep.l_x), rep.l_y.scale(GR_I)),
         RelationSpec("[Lz,Ly] = -i Lx", commutator(rep.l_z, rep.l_y), rep.l_x.scale(-GR_I)),
-        RelationSpec(
-            "[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K)",
-            commutator(rep.l_x, rep.l_y),
-            _so3_bracket_rhs(rep),
-        ),
+        RelationSpec(SO3_BRACKET_ID, commutator(rep.l_x, rep.l_y), _so3_bracket_rhs(rep)),
         RelationSpec("[K,Q] = 0 (so3)", commutator(rep.k_op, rep.q_op), zero),
         RelationSpec("[K,P] = 0 (so3)", commutator(rep.k_op, rep.p_op), zero),
         RelationSpec("[K,Lz] = 0", commutator(rep.k_op, rep.l_z), zero),
@@ -522,33 +494,14 @@ def so_nu3_condensed_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     if rep.two_j % 2 == 1:
         coeff = P_NU * NuPolynomial.from_coeffs([rep.two_j + 1, 2])
         rhs = (rep.l_z + rep.r_l.scale(coeff)).scale(GR_I)
-        return [
-            RelationSpec(
-                "odd 2j: [Lx,Ly] = i(Lz + nu(2nu+2j+1) R_L) (derived)", bracket, rhs
-            )
-        ]
+        return [RelationSpec(SO3_ODD_BRACKET_ID, bracket, rhs)]
     rhs = (rep.l_z @ (OperatorMatrix.identity(rep.basis) + rep.r_l.scale(P_TWO_NU))).scale(GR_I)
-    return [RelationSpec("even 2j: [Lx,Ly] = i Lz(1 + 2nu R_L) (derived)", bracket, rhs)]
+    return [RelationSpec(SO3_EVEN_BRACKET_ID, bracket, rhs)]
 
 
 def audit_so_nu3(rep: SoNu3Rep) -> List[AlgebraReport]:
     """Full deformed-so(3) audit; bracket relations carry the i/2 caveat."""
-    reports = []
-    for spec in so_nu3_relation_specs(rep) + so_nu3_condensed_specs(rep):
-        report = check_relation(*spec)
-        if "[Lx,Ly]" in spec.relation_id and report.verdict is Verdict.PASS:
-            caveat = SO3_BRACKET_CAVEAT
-            if rep.two_j % 2 == 1 and "odd 2j" in spec.relation_id:
-                caveat += "; printed odd coefficient 2nu(2nu+j+1) also fails (see errata)"
-            report = AlgebraReport(
-                report.relation_id,
-                report.mode,
-                report.max_residual,
-                Verdict.PASS_WITH_CAVEAT,
-                caveat=caveat,
-            )
-        reports.append(report)
-    return reports
+    return check_specs(so_nu3_relation_specs(rep) + so_nu3_condensed_specs(rep), SO3_CAVEATS)
 
 
 ########################################################################
@@ -687,120 +640,90 @@ def errata_findings() -> List[ErratumFinding]:
     Each finding re-runs both the printed and the corrected form so the
     output always reflects live computation, never a transcription.
     """
-    findings: List[ErratumFinding] = []
-
-    # 1. Odd-2j condensed commutator coefficient.
-    rep1 = build_js_spin_rep(1)
-    printed1 = check_relation(
-        "odd 2j: [J+,J-] = 2J0 + 2nu(2nu+j+1) R_J (printed, two_j=1)",
-        commutator(rep1.j_plus, rep1.j_minus),
-        _odd_bracket_rhs(rep1, doubled_j=False),
+    odd_reps = [build_js_spin_rep(two_j) for two_j in (1, 3, 5, 7)]
+    odd_brackets = [commutator(r.j_plus, r.j_minus) for r in odd_reps]
+    rep1, bracket1 = odd_reps[0], odd_brackets[0]
+    printed_odd1 = _odd_bracket_rhs(rep1, doubled_j=False)
+    derived_odd = check_specs(
+        RelationSpec(ODD_BRACKET_ID, bracket, _odd_bracket_rhs(r, doubled_j=True))
+        for r, bracket in zip(odd_reps, odd_brackets)
     )
-    derived_all = [
-        check_relation(
-            f"odd 2j: [J+,J-] = 2J0 + 2nu(2nu+2j+1) R_J (derived, two_j={two_j})",
-            commutator((r := build_js_spin_rep(two_j)).j_plus, r.j_minus),
-            _odd_bracket_rhs(r, doubled_j=True),
-        )
-        for two_j in (1, 3, 5, 7)
-    ]
-    combined = AlgebraReport(
-        "odd 2j: derived coefficient 2nu(2nu+2j+1) for two_j in {1,3,5,7}",
-        CheckMode.EXACT,
-        0.0,
-        Verdict.PASS if all(r.verdict is Verdict.PASS for r in derived_all) else Verdict.FAIL,
-        witness=None
-        if all(r.verdict is Verdict.PASS for r in derived_all)
-        else Witness(-1, -1, "all derived forms pass", "see per-two_j reports"),
-    )
-    findings.append(
-        ErratumFinding(
-            name="odd-2j condensed commutator coefficient",
-            printed="[J+,J-] = 2 J0 + 2 nu (2 nu + j + 1) R_J",
-            computed="[J+,J-] = 2 J0 + 2 nu (2 nu + 2j + 1) R_J",
-            printed_report=printed1,
-            derived_report=combined,
-            detail=(
-                "witness at j=1/2, m=1/2: computed eigenvalue "
-                f"{commutator(rep1.j_plus, rep1.j_minus).entry(0, 0)} "
-                f"vs printed {_odd_bracket_rhs(rep1, doubled_j=False).entry(0, 0)}"
-            ),
-        )
-    )
-
-    # 2. Deformed Pauli commutator at j=1/2.
-    printed_pauli = check_relation(
-        "j=1/2: [s+,s-] = (1+3nu+4nu^2) s_z (printed)",
-        commutator(rep1.j_plus, rep1.j_minus),
-        rep1.j0.scale(NuPolynomial.from_coeffs([1, 3, 4]) * 2),
-    )
-    computed_pauli = check_relation(
-        "j=1/2: [s+,s-] = (1+4nu+4nu^2) s_z (computed)",
-        commutator(rep1.j_plus, rep1.j_minus),
-        rep1.j0.scale(NuPolynomial.from_coeffs([1, 4, 4]) * 2),
-    )
-    findings.append(
-        ErratumFinding(
-            name="j=1/2 deformed Pauli commutator",
-            printed="[s+,s-] = (1 + 3 nu + 4 nu^2) s_z",
-            computed="[s+,s-] = (1 + 2 nu)^2 s_z = (1 + 4 nu + 4 nu^2) s_z",
-            printed_report=printed_pauli,
-            derived_report=computed_pauli,
-            detail="direct product gives [1][1] = (1+2nu)^2 at (j,m) = (1/2,1/2)",
-        )
-    )
-
-    # 3. j=1 quadratic-algebra substitution R_J = L_z.
     rep2 = build_js_spin_rep(2)
+    bracket2 = commutator(rep2.j_plus, rep2.j_minus)
     identity2 = OperatorMatrix.identity(rep2.basis)
-    printed_quadratic = check_relation(
-        "j=1: [L+,L-] = 2 L_z (1 + 2nu L_z) with R_J = L_z (printed)",
-        commutator(rep2.j_plus, rep2.j_minus),
-        (rep2.j0 @ (identity2 + rep2.j0.scale(P_TWO_NU))).scale(2),
-    )
-    with_rj = check_relation(
-        "j=1: [J+,J-] = 2 J0 (1 + 2nu R_J) (computed)",
-        commutator(rep2.j_plus, rep2.j_minus),
-        (rep2.j0 @ (identity2 + rep2.r_j.scale(P_TWO_NU))).scale(2),
-    )
-    findings.append(
-        ErratumFinding(
-            name="j=1 quadratic-algebra substitution",
-            printed="R_J = L_z, so [L+,L-] = 2 L_z (1 + 2 nu L_z)",
-            computed="R_J = diag(1,-1,1) differs from L_z = diag(1,0,-1) at m=0,-1; "
-            "[J+,J-] = 2 J0 (1 + 2 nu R_J) holds instead",
-            printed_report=printed_quadratic,
-            derived_report=with_rj,
-            detail="at m=-1 the reflection eigenvalue is +1 while L_z is -1",
-        )
-    )
-
-    # 4. Deformed so(3) bracket scale.
     so3 = build_so_nu3(2)
-    printed_so3 = check_relation(
-        "[Lx,Ly] = 2Lz + 2nu P + 2nu(2nu+1) K (printed)",
-        commutator(so3.l_x, so3.l_y),
-        so3.l_z.scale(2)
-        + so3.p_op.scale(P_TWO_NU)
-        + so3.k_op.scale(P_TWO_NU * NuPolynomial.from_coeffs([1, 2])),
-    )
-    derived_so3 = check_relation(
-        "[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K) (derived)",
-        commutator(so3.l_x, so3.l_y),
-        _so3_bracket_rhs(so3),
-    )
-    findings.append(
-        ErratumFinding(
-            name="so(3) bracket scale",
-            printed="[Lx,Ly] = 2 Lz + 2 nu P + 2 nu (2 nu + 1) K",
-            computed="[Lx,Ly] = i (Lz + nu P + nu (2 nu + 1) K)",
-            printed_report=printed_so3,
-            derived_report=derived_so3,
-            detail=(
-                "Lx = (J+ + J-)/2 and Ly = (i/2)(J- - J+) force "
-                "[Lx,Ly] = (i/2)[J+,J-]; at nu=0 the printed form claims 2Lz "
-                "where the true bracket is i Lz"
+    so3_bracket = commutator(so3.l_x, so3.l_y)
+    # (name, printed, computed, detail, printed spec, derived check)
+    table = [
+        (
+            "odd-2j condensed commutator coefficient",
+            "[J+,J-] = 2 J0 + 2 nu (2 nu + j + 1) R_J",
+            "[J+,J-] = 2 J0 + 2 nu (2 nu + 2j + 1) R_J",
+            "witness at j=1/2, m=1/2: computed eigenvalue "
+            f"{bracket1.entry(0, 0)} vs printed {printed_odd1.entry(0, 0)}",
+            RelationSpec(
+                "odd 2j: [J+,J-] = 2J0 + 2nu(2nu+j+1) R_J (printed, two_j=1)", bracket1, printed_odd1
             ),
-        )
-    )
-    return findings
+            exact_report(
+                "odd 2j: derived coefficient 2nu(2nu+2j+1) for two_j in {1,3,5,7}",
+                None
+                if all(r.verdict is Verdict.PASS for r in derived_odd)
+                else Witness(-1, -1, "all derived forms pass", "see per-two_j reports"),
+            ),
+        ),
+        (
+            "j=1/2 deformed Pauli commutator",
+            "[s+,s-] = (1 + 3 nu + 4 nu^2) s_z",
+            "[s+,s-] = (1 + 2 nu)^2 s_z = (1 + 4 nu + 4 nu^2) s_z",
+            "direct product gives [1][1] = (1+2nu)^2 at (j,m) = (1/2,1/2)",
+            RelationSpec(
+                "j=1/2: [s+,s-] = (1+3nu+4nu^2) s_z (printed)",
+                bracket1,
+                rep1.j0.scale(NuPolynomial.from_coeffs([1, 3, 4]) * 2),
+            ),
+            check_relation(
+                "j=1/2: [s+,s-] = (1+4nu+4nu^2) s_z (computed)",
+                bracket1,
+                rep1.j0.scale(NuPolynomial.from_coeffs([1, 4, 4]) * 2),
+            ),
+        ),
+        (
+            "j=1 quadratic-algebra substitution",
+            "R_J = L_z, so [L+,L-] = 2 L_z (1 + 2 nu L_z)",
+            "R_J = diag(1,-1,1) differs from L_z = diag(1,0,-1) at m=0,-1; "
+            "[J+,J-] = 2 J0 (1 + 2 nu R_J) holds instead",
+            "at m=-1 the reflection eigenvalue is +1 while L_z is -1",
+            RelationSpec(
+                "j=1: [L+,L-] = 2 L_z (1 + 2nu L_z) with R_J = L_z (printed)",
+                bracket2,
+                (rep2.j0 @ (identity2 + rep2.j0.scale(P_TWO_NU))).scale(2),
+            ),
+            check_relation(
+                "j=1: [J+,J-] = 2 J0 (1 + 2nu R_J) (computed)",
+                bracket2,
+                (rep2.j0 @ (identity2 + rep2.r_j.scale(P_TWO_NU))).scale(2),
+            ),
+        ),
+        (
+            "so(3) bracket scale",
+            "[Lx,Ly] = 2 Lz + 2 nu P + 2 nu (2 nu + 1) K",
+            "[Lx,Ly] = i (Lz + nu P + nu (2 nu + 1) K)",
+            "Lx = (J+ + J-)/2 and Ly = (i/2)(J- - J+) force "
+            "[Lx,Ly] = (i/2)[J+,J-]; at nu=0 the printed form claims 2Lz "
+            "where the true bracket is i Lz",
+            RelationSpec(
+                "[Lx,Ly] = 2Lz + 2nu P + 2nu(2nu+1) K (printed)",
+                so3_bracket,
+                so3.l_z.scale(2)
+                + so3.p_op.scale(P_TWO_NU)
+                + so3.k_op.scale(P_TWO_NU * NuPolynomial.from_coeffs([1, 2])),
+            ),
+            check_relation(
+                "[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K) (derived)", so3_bracket, _so3_bracket_rhs(so3)
+            ),
+        ),
+    ]
+    return [
+        ErratumFinding(name, printed, computed, check_relation(*spec), derived, detail)
+        for name, printed, computed, detail, spec, derived in table
+    ]

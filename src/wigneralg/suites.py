@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence
 
 from .errors import OddTwoJNotClosedError
 from .operators import RelationSpec, check_relation, numeric_relation_report
-from .reports import AlgebraReport, CheckMode, Verdict, Witness
+from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import check_cross_identity, check_pair_identities
 from .single_mode import (
     audit_single_mode,
@@ -41,25 +41,19 @@ from .spin import (
 def aggregate(relation_id: str, reports: Sequence[AlgebraReport]) -> AlgebraReport:
     """Fold instance reports into one: first failure wins, caveats survive."""
     worst = max((r.max_residual for r in reports), default=0.0)
-    for report in reports:
-        if report.verdict is Verdict.FAIL:
-            return AlgebraReport(
-                relation_id, report.mode, worst, Verdict.FAIL,
-                caveat=report.caveat, witness=report.witness,
-            )
-    caveats = [r.caveat for r in reports if r.caveat]
-    modes = {r.mode for r in reports}
-    mode = CheckMode.EXACT if modes <= {CheckMode.EXACT} else (
-        CheckMode.NUMERIC if modes == {CheckMode.NUMERIC} else CheckMode.MIXED
-    )
-    if caveats:
-        return AlgebraReport(
-            relation_id, mode, worst if mode is not CheckMode.EXACT else 0.0,
-            Verdict.PASS_WITH_CAVEAT, caveat=caveats[0],
+    failed = next((r for r in reports if r.verdict is Verdict.FAIL), None)
+    if failed is not None:
+        mode, verdict, caveat = failed.mode, Verdict.FAIL, failed.caveat
+    else:
+        modes = {r.mode for r in reports}
+        mode = CheckMode.EXACT if modes <= {CheckMode.EXACT} else (
+            CheckMode.NUMERIC if modes == {CheckMode.NUMERIC} else CheckMode.MIXED
         )
-    return AlgebraReport(
-        relation_id, mode, worst if mode is not CheckMode.EXACT else 0.0, Verdict.PASS
-    )
+        caveat = next((r.caveat for r in reports if r.caveat), None)
+        verdict = Verdict.PASS if caveat is None else Verdict.PASS_WITH_CAVEAT
+        worst = 0.0 if mode is CheckMode.EXACT else worst
+    witness = None if failed is None else failed.witness
+    return AlgebraReport(relation_id, mode, worst, verdict, caveat=caveat, witness=witness)
 
 
 def _group_by_suffix(per_instance: List[List[AlgebraReport]], label: str) -> List[AlgebraReport]:
@@ -165,22 +159,12 @@ def hp_suite(even_two_j: Sequence[int] = (2, 4, 6, 8), odd_two_j: Sequence[int] 
         try:
             build_hp_rep(two_j)
         except OddTwoJNotClosedError as err:
-            refusals.append(
-                AlgebraReport(
-                    f"HP refuses odd two_j={two_j} with leakage {err.leakage}",
-                    CheckMode.EXACT,
-                    0.0,
-                    Verdict.PASS,
-                )
-            )
+            refusals.append(exact_report(f"HP refuses odd two_j={two_j} with leakage {err.leakage}"))
         else:
             refusals.append(
-                AlgebraReport(
+                exact_report(
                     f"HP refuses odd two_j={two_j}",
-                    CheckMode.EXACT,
-                    float("nan"),
-                    Verdict.FAIL,
-                    witness=Witness(-1, -1, "OddTwoJNotClosed raised", "no error raised"),
+                    Witness(-1, -1, "OddTwoJNotClosed raised", "no error raised"),
                 )
             )
     return out + refusals

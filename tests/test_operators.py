@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from wigneralg.errors import DimensionMismatchError
 from wigneralg.operators import (
+    Caveat,
     FockLabel,
     OperatorMatrix,
+    RelationSpec,
     SpinLabel,
     TwoModeLabel,
     anticommutator,
     check_relation,
+    check_specs,
     commutator,
     eval_matrix,
     fock_basis,
@@ -180,6 +183,36 @@ def test_check_relation_symmetric():
     rev = check_relation("bracket", rhs, lhs)
     assert fwd.verdict == rev.verdict
     assert (fwd.witness.row, fwd.witness.col) == (rev.witness.row, rev.witness.col)
+
+
+def test_check_specs_caveats():
+    s = build_single_mode(3)
+    passing = RelationSpec("N = N", s.n_op, s.n_op)
+    failing = RelationSpec("N = R", s.n_op, s.r_op)
+    expected_witness = check_relation(*failing).witness
+    reports = check_specs(
+        [passing, failing, RelationSpec("R = R", s.r_op, s.r_op)],
+        {
+            "N = N": Caveat("printed form fails", printed_rhs=s.r_op),
+            "N = R": Caveat("never applied"),
+        },
+    )
+    # a printed form that fails is quoted by its first witness
+    assert reports[0].verdict is Verdict.PASS_WITH_CAVEAT
+    assert reports[0].witness == expected_witness
+    assert reports[0].caveat == f"printed form fails (first witness {expected_witness})"
+    # a failing report is never given a caveat
+    assert reports[1].verdict is Verdict.FAIL
+    assert reports[1].caveat is None
+    # relations without a caveat keep their plain verdict
+    assert reports[2].verdict is Verdict.PASS and reports[2].caveat is None
+    # a printed form that passes is called out, and a caveat without one is its text
+    [unexpected] = check_specs([passing], {"N = N": Caveat("fails", printed_rhs=s.n_op)})
+    [plain] = check_specs([passing], {"N = N": Caveat("note")})
+    assert unexpected.verdict is Verdict.PASS_WITH_CAVEAT
+    assert unexpected.caveat == "printed coefficient unexpectedly passed"
+    assert unexpected.witness is None
+    assert (plain.verdict, plain.caveat, plain.witness) == (Verdict.PASS_WITH_CAVEAT, "note", None)
 
 
 # ---------------------------------------------------------------- numeric backend

@@ -160,3 +160,16 @@ def test_audit_realizations():
 def test_audit_requires_min_n():
     with pytest.raises(ValueError):
         audit_realizations(1)
+
+
+def test_bipolynomial_str():
+    p = BiPolynomial.from_dict(
+        {
+            (2, 1): GaussianRational(Fraction(-1)),
+            (0, 0): GaussianRational(Fraction(1, 3)),
+            (1, 0): GaussianRational(Fraction(0), Fraction(2)),
+            (0, 2): GaussianRational(Fraction(1)),
+        }
+    )
+    assert str(p) == "-x^2*d + (2*i)*x + 1/3 + d^2"
+    assert str(BiPolynomial()) == "0"

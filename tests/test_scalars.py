@@ -242,3 +242,21 @@ def test_radical_str_forms():
     assert str(RadicalSum.zero()) == "0"
     assert str(RadicalSum.sqrt_poly(poly(2, 4))) == "sqrt(2 + 4*nu)"
     assert str(RadicalSum.from_polynomial(poly(1, 2))) == "(1 + 2*nu)"
+
+
+def test_term_printer_forms():
+    # the three printers share one term printer but keep their own parenthesis rules
+    i, one_i = GaussianRational(Fraction(0), Fraction(1)), GaussianRational(Fraction(1), Fraction(1))
+    assert str(poly(Fraction(1, 2), i, one_i, -1)) == "1/2 + (i)*nu + (1+i)*nu^2 - nu^3"
+    assert str(poly(0, -1, Fraction(-3, 2))) == "-nu + (-3/2)*nu^2"
+    assert str(NuPolynomial()) == "0"
+    root = RadicalSum.sqrt_poly(poly(1, 2))
+    mixed = RadicalSum.from_polynomial(poly(one_i.conjugate())) + root * poly(one_i)
+    assert str(mixed) == "(1-i) + ((1+i))*sqrt(1 + 2*nu)"
+    signed = (
+        RadicalSum.sqrt_poly(poly(3, 2)) * poly(Fraction(1, 2), 1)
+        - RadicalSum.sqrt_poly(2)
+        + RadicalSum.from_polynomial(poly(1, 1))
+    )
+    assert str(signed) == "(1 + nu) - sqrt(2) + (1/2 + nu)*sqrt(3 + 2*nu)"
+    assert str(-RadicalSum.sqrt_poly(poly(0, 1))) == "-sqrt(nu)"

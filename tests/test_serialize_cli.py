@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from wigneralg import cli
+from wigneralg.cli import MAX_MATRIX_DIM, MAX_N, RunConfig
 from wigneralg.operators import OperatorMatrix, fock_basis
 from wigneralg.scalars import GaussianRational, NuPolynomial, RadicalSum
 from wigneralg.serialize import (
@@ -222,3 +224,41 @@ def test_cli_verify_strict_flags_caveats():
         "--strict",
     )
     assert proc.returncode == 1  # known caveats become failures under --strict
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["numbers", "--format", "csv", "--nu", "nan", "--max-n", "2"], "--nu"),
+        (["numbers", "--format", "csv", "--nu", "inf"], "--nu"),
+        (["numbers", "--format", "csv", "--nu=-inf"], "--nu"),
+        (["verify", "--nu", "0.3"], "--nu"),
+        (["verify", "--all", "--format", "text", "--nu", "0.3"], "--nu"),
+        (["single-mode", "--dim", str(MAX_MATRIX_DIM + 1)], "--dim"),
+        (["two-mode", "--dims", "2", str(MAX_MATRIX_DIM // 2 + 1)], "--dims"),
+        (["spin-rep", "--two-j", str(MAX_MATRIX_DIM)], "--two-j"),
+        (["hp-rep", "--two-j", str(MAX_MATRIX_DIM)], "--two-j"),
+        (["so3-rep", "--two-j", str(MAX_MATRIX_DIM)], "--two-j"),
+        (["verify", "--max-two-j", str(MAX_MATRIX_DIM)], "--max-two-j"),
+        (["numbers", "--max-n", str(MAX_N + 1)], "--max-n"),
+        (["realizations", "--max-n", str(MAX_N + 1)], "--max-n"),
+        (["verify", "--max-n", str(MAX_N + 1)], "--max-n"),
+    ],
+)
+def test_cli_rejects_bad_input_in_process(argv, fragment, capsys):
+    assert 2 * (MAX_MATRIX_DIM // 2 + 1) == MAX_MATRIX_DIM + 1  # --dims case is one over
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+def test_cli_size_bounds_admit_largest_inputs():
+    # RunConfig raises UsageError on bad input; validation builds nothing
+    RunConfig("two-mode", dims=(21, 20))
+    RunConfig("two-mode", dims=(20, 21))
+    RunConfig("verify", max_two_j=16, dims=(17, 17))
+    RunConfig("verify", max_two_j=MAX_MATRIX_DIM - 1, max_n=MAX_N)
+    RunConfig("single-mode", dim=MAX_MATRIX_DIM)
+    RunConfig("spin-rep", two_j=MAX_MATRIX_DIM - 1)
+    RunConfig("numbers", fmt="csv", nu_values=[0.25], max_n=MAX_N)

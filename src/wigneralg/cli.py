@@ -80,6 +80,8 @@ class RunConfig:
             raise UsageError("--dims values must be at least 2")
         if self.dim is not None and self.dim < 2:
             raise UsageError("--dim must be at least 2")
+        if self.max_two_j < 1:
+            raise UsageError("--max-two-j must be at least 1")
         sizes = {
             "--dim": self.dim,
             "--dims": None if self.dims is None else self.dims[0] * self.dims[1],

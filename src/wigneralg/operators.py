@@ -1,8 +1,9 @@
-"""Dense labeled matrices over radical sums and the relation-checking engine.
+"""Sparse labeled matrices over radical sums and the relation-checking engine.
 
-Representation dims stay small (a few hundred at most), so storage is dense;
-the product loop skips zero entries, which makes ladder-type operators behave
-like sparse ones without any extra machinery.
+An `OperatorMatrix` stores only its nonzero entries, row by row in column
+order.  The operators built here (ladder, number and parity operators and
+their Kronecker products) have a few nonzeros per row, so products, sums,
+relation checks and exports cost O(nnz), not O(dim^2).
 """
 
 from __future__ import annotations
@@ -89,19 +90,35 @@ def spin_basis(two_j: int) -> Tuple[SpinLabel, ...]:
 
 
 class OperatorMatrix:
-    __slots__ = ("dim", "basis", "rows", "_nonzeros")
+    """Square matrix on a labeled basis, stored as its nonzero entries.
 
-    def __init__(self, basis: Sequence[BasisLabel], rows: Sequence[Sequence[RadicalSum]]):
+    Row ``i`` is a tuple of ``(column, value)`` pairs with strictly increasing
+    columns and no zero value, so the stored form is canonical and equality
+    and hashing compare it directly.  Every operation builds its result
+    through the constructor, which validates that form.
+    """
+
+    __slots__ = ("dim", "basis", "_rows")
+
+    def __init__(self, basis: Sequence[BasisLabel], rows: Sequence[Sequence[Tuple[int, RadicalSum]]]):
         basis = tuple(basis)
-        if len(set(basis)) != len(basis):
+        dim = len(basis)
+        if len(set(basis)) != dim:
             raise ValueError("basis labels must be pairwise distinct")
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
-            raise ValueError("entries must form a dim x dim array")
-        object.__setattr__(self, "dim", len(basis))
+        rows = tuple(tuple(map(tuple, row)) for row in rows)
+        if len(rows) != dim:
+            raise ValueError("need exactly one row per basis label")
+        for row in rows:
+            last = -1
+            for j, value in row:
+                if not last < j < dim:
+                    raise ValueError("row columns must be in range and strictly increasing")
+                if not value.terms:
+                    raise ValueError("rows must not store zero values")
+                last = j
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_nonzeros", None)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("OperatorMatrix is immutable")
@@ -122,100 +139,95 @@ class OperatorMatrix:
 
     @staticmethod
     def from_entries(basis: Sequence[BasisLabel], entries: Dict[Tuple[int, int], RadicalSum]) -> "OperatorMatrix":
+        """Matrix with the given (row, col) entries; absent and zero entries are zero."""
         dim = len(basis)
-        zero = RadicalSum.zero()
-        rows = [[zero] * dim for _ in range(dim)]
+        rows: List[Dict[int, RadicalSum]] = [{} for _ in range(dim)]
         for (i, j), value in entries.items():
-            rows[i][j] = RadicalSum.coerce(value)
-        return OperatorMatrix(basis, rows)
+            if not 0 <= i < dim:
+                raise ValueError("entry row out of range")
+            value = RadicalSum.coerce(value)
+            if value.terms:
+                rows[i][j] = value
+        return OperatorMatrix(basis, [sorted(row.items()) for row in rows])
+
+    @property
+    def rows(self) -> Tuple[Tuple[RadicalSum, ...], ...]:
+        """Dense dim x dim view, zeros included, built on each access."""
+        zero = RadicalSum.zero()
+        dense = []
+        for row in self._rows:
+            cells = [zero] * self.dim
+            for j, value in row:
+                cells[j] = value
+            dense.append(tuple(cells))
+        return tuple(dense)
 
     def entry(self, i: int, j: int) -> RadicalSum:
-        return self.rows[i][j]
+        return dict(self._rows[i]).get(j, RadicalSum.zero())
 
     def row_nonzeros(self) -> Tuple[Tuple[Tuple[int, RadicalSum], ...], ...]:
-        cached = self._nonzeros
-        if cached is None:
-            cached = tuple(
-                tuple((j, v) for j, v in enumerate(row) if v.terms) for row in self.rows
-            )
-            object.__setattr__(self, "_nonzeros", cached)
-        return cached
+        return self._rows
 
     def _require_same_space(self, other: "OperatorMatrix") -> None:
         if self.basis != other.basis:
             raise DimensionMismatchError("operators act on different labeled spaces")
 
-    def _map_nonzeros(self, other: Optional["OperatorMatrix"], combine) -> "OperatorMatrix":
-        """Apply an entrywise op touching only nonzero positions of the operands."""
-        dim = self.dim
+    def _merge(self, other: "OperatorMatrix", combine) -> "OperatorMatrix":
+        """Row-by-row merge: combine(self_value, other_value) where other has an entry."""
+        self._require_same_space(other)
         zero = RadicalSum.zero()
         rows = []
-        other_nz = other.row_nonzeros() if other is not None else None
-        for i, self_row in enumerate(self.row_nonzeros()):
-            row = [zero] * dim
-            for j, value in self_row:
-                row[j] = value
-            if other_nz is not None:
-                for j, value in other_nz[i]:
-                    row[j] = combine(row[j], value)
-            else:
-                for j, value in self_row:
-                    row[j] = combine(value, None)
-            rows.append(tuple(row))
+        for self_row, other_row in zip(self._rows, other._rows):
+            acc = dict(self_row)
+            for j, value in other_row:
+                acc[j] = combine(acc.get(j, zero), value)
+            rows.append(sorted((j, v) for j, v in acc.items() if v.terms))
         return OperatorMatrix(self.basis, rows)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_space(other)
-        return self._map_nonzeros(other, lambda a, b: a + b)
+        return self._merge(other, lambda a, b: a + b)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_space(other)
-        return self._map_nonzeros(other, lambda a, b: a - b)
+        return self._merge(other, lambda a, b: a - b)
 
     def __neg__(self) -> "OperatorMatrix":
-        return self._map_nonzeros(None, lambda a, _: -a)
+        return OperatorMatrix(self.basis, [[(j, -v) for j, v in row] for row in self._rows])
 
     def scale(self, factor) -> "OperatorMatrix":
         factor = RadicalSum.coerce(factor)
-        return self._map_nonzeros(None, lambda a, _: factor * a)
+        rows = [[(j, p) for j, v in row if (p := factor * v).terms] for row in self._rows]
+        return OperatorMatrix(self.basis, rows)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_space(other)
-        dim = self.dim
-        zero = RadicalSum.zero()
-        other_nz = other.row_nonzeros()
+        other_rows = other._rows
         rows = []
-        for self_row in self.row_nonzeros():
+        for self_row in self._rows:
             acc: Dict[int, RadicalSum] = {}
             for k, a_ik in self_row:
-                for j, b_kj in other_nz[k]:
+                for j, b_kj in other_rows[k]:
                     prod = a_ik * b_kj
                     if j in acc:
                         acc[j] = acc[j] + prod
                     else:
                         acc[j] = prod
-            row = [zero] * dim
-            for j, v in acc.items():
-                row[j] = v
-            rows.append(tuple(row))
+            rows.append(sorted((j, v) for j, v in acc.items() if v.terms))
         return OperatorMatrix(self.basis, rows)
 
     def adjoint(self) -> "OperatorMatrix":
-        dim = self.dim
-        zero = RadicalSum.zero()
-        rows = [[zero] * dim for _ in range(dim)]
-        for i, self_row in enumerate(self.row_nonzeros()):
-            for j, value in self_row:
-                rows[j][i] = value.conjugate()
+        rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self._rows):
+            for j, value in row:
+                rows[j].append((i, value.conjugate()))
         return OperatorMatrix(self.basis, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return self.basis == other.basis and self.rows == other.rows
+        return self.basis == other.basis and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.basis, self.rows))
+        return hash((self.basis, self._rows))
 
     def __str__(self) -> str:
         cells = [[str(v) for v in row] for row in self.rows]
@@ -245,16 +257,18 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
         raise DimensionMismatchError("tensor factors must both carry Fock bases")
     d2 = b.dim
     basis = tuple(TwoModeLabel(la.n, lb.n) for la in a.basis for lb in b.basis)
-    entries: Dict[Tuple[int, int], RadicalSum] = {}
-    b_nz = b.row_nonzeros()
-    for i1, row in enumerate(a.rows):
-        for j1, va in enumerate(row):
-            if not va.terms:
-                continue
-            for i2 in range(d2):
-                for j2, vb in b_nz[i2]:
-                    entries[(i1 * d2 + i2, j1 * d2 + j2)] = va * vb
-    return OperatorMatrix.from_entries(basis, entries)
+    b_rows = b.row_nonzeros()
+    rows = []
+    for a_row in a.row_nonzeros():
+        for b_row in b_rows:
+            row = []
+            for j1, va in a_row:
+                for j2, vb in b_row:
+                    value = va * vb
+                    if value.terms:
+                        row.append((j1 * d2 + j2, value))
+            rows.append(row)
+    return OperatorMatrix(basis, rows)
 
 
 ########################################################################

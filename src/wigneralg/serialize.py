@@ -67,10 +67,8 @@ def _gaussian_from_dict(data) -> GaussianRational:
 
 def matrix_to_dict(matrix: OperatorMatrix) -> dict:
     entries = []
-    for i, row in enumerate(matrix.rows):
-        for j, value in enumerate(row):
-            if not value.terms:
-                continue
+    for i, row in enumerate(matrix.row_nonzeros()):
+        for j, value in row:
             entries.append(
                 {
                     "row": i,
@@ -122,11 +120,15 @@ def dumps(payload: dict) -> str:
 
 
 def matrix_to_csv(matrix: OperatorMatrix, nu: float) -> str:
-    """Numeric-only export at a single nu."""
+    """Numeric-only export at a single nu, one line per cell, zeros included."""
     lines = ["row,col,real,imag"]
-    for i in range(matrix.dim):
+    for i, row in enumerate(matrix.row_nonzeros()):
+        stored = dict(row)
         for j in range(matrix.dim):
-            value = numeric_eval(matrix.entry(i, j), nu)
+            if j not in stored:
+                lines.append(f"{i},{j},0,0")  # format(0.0, ".17g") == "0"
+                continue
+            value = numeric_eval(stored[j], nu)
             lines.append(
                 f"{i},{j},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
             )

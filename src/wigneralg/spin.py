@@ -176,6 +176,7 @@ def extract_js_block(s, two_j: int) -> SuNu2Rep:
     # block row i holds |n1, n2> = |2j - i, i>, i.e. m = j - i descending
     block = [(two_j - i) * d2 + i for i in range(two_j + 1)]
     block_set = set(block)
+    block_index = {g: b for b, g in enumerate(block)}
     target = spin_basis(two_j)
     extracted: Dict[str, OperatorMatrix] = {}
     for name, op in composites.items():
@@ -189,10 +190,10 @@ def extract_js_block(s, two_j: int) -> SuNu2Rep:
                         f"{name} maps block column {col} to outside row {row}"
                     )
         entries = {
-            (bi, bj): op.entry(gi, gj)
+            (bi, block_index[j]): value
             for bi, gi in enumerate(block)
-            for bj, gj in enumerate(block)
-            if op.entry(gi, gj).terms
+            for j, value in nz[gi]
+            if j in block_index
         }
         extracted[name] = OperatorMatrix.from_entries(target, entries)
     return SuNu2Rep(

@@ -21,7 +21,7 @@ from wigneralg.operators import (
     tensor,
 )
 from wigneralg.reports import CheckMode, Verdict
-from wigneralg.scalars import NuPolynomial, RadicalSum, deformed_number
+from wigneralg.scalars import GaussianRational, NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
 
 
@@ -44,10 +44,26 @@ def test_basis_label_validation():
 
 def test_matrix_construction_validation():
     basis = fock_basis(2)
-    with pytest.raises(ValueError):
-        OperatorMatrix(basis, [[RadicalSum.zero()]])
-    with pytest.raises(ValueError):
-        OperatorMatrix([FockLabel(0), FockLabel(0)], [[RadicalSum.zero()] * 2] * 2)
+    one = RadicalSum.one()
+    with pytest.raises(ValueError):  # one row for two labels
+        OperatorMatrix(basis, [[(0, one)]])
+    with pytest.raises(ValueError):  # duplicate labels
+        OperatorMatrix.from_entries([FockLabel(0), FockLabel(0)], {(0, 0): one})
+    with pytest.raises(ValueError):  # unsorted columns
+        OperatorMatrix(basis, [[(1, one), (0, one)], []])
+    with pytest.raises(ValueError):  # duplicate column
+        OperatorMatrix(basis, [[(0, one), (0, one)], []])
+    for col in (-1, 2):  # column out of range
+        with pytest.raises(ValueError):
+            OperatorMatrix(basis, [[], [(col, one)]])
+    with pytest.raises(ValueError):  # stored zero
+        OperatorMatrix(basis, [[(0, RadicalSum.zero())], []])
+    with pytest.raises(ValueError):  # entry row out of range
+        OperatorMatrix.from_entries(basis, {(-1, 0): one})
+    # from_entries drops zero values, so the stored form stays canonical
+    assert OperatorMatrix.diagonal([one, RadicalSum.zero()], basis) == OperatorMatrix(
+        basis, [[(0, one)], []]
+    )
 
 
 def test_identity_commutes():
@@ -89,7 +105,9 @@ entry_st = st.builds(
 def matrix_st(dim):
     basis = fock_basis(dim)
     return st.builds(
-        lambda entries: OperatorMatrix(basis, [entries[i * dim:(i + 1) * dim] for i in range(dim)]),
+        lambda entries: OperatorMatrix.from_entries(
+            basis, {(i, j): entries[i * dim + j] for i in range(dim) for j in range(dim)}
+        ),
         st.lists(entry_st, min_size=dim * dim, max_size=dim * dim),
     )
 
@@ -106,6 +124,78 @@ def test_product_adjoint_antihomomorphism(a, b):
 def test_tensor_bilinearity(a, b, c):
     assert tensor(a + b, c) == tensor(a, c) + tensor(b, c)
     assert tensor(a, b + c) == tensor(a, b) + tensor(a, c)
+
+
+# ---------------------------------------------------------------- dense reference
+
+
+def _assert_matches_dense(matrix, dense):
+    """matrix equals the dense list-of-lists reference and is stored canonically."""
+    dim = len(dense)
+    assert matrix.dim == dim
+    assert matrix.rows == tuple(tuple(row) for row in dense)
+    assert all(matrix.entry(i, j) == dense[i][j] for i in range(dim) for j in range(dim))
+    for i, row in enumerate(matrix.row_nonzeros()):
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)), "columns strictly increasing"
+        assert all(value.terms for _, value in row), "no stored zero"
+        assert cols == [j for j in range(dim) if dense[i][j].terms]
+
+
+IMAG_UNIT = RadicalSum.coerce(GaussianRational(0, 1))
+# zeros, real entries and imaginary ones (so adjoint must conjugate)
+cell_st = st.one_of(st.just(RadicalSum.zero()), entry_st, entry_st.map(lambda v: v * IMAG_UNIT))
+
+
+def _cells(data, dim, like=None):
+    """dim x dim cells; with `like`, each cell may repeat or negate like's, so sums cancel."""
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            choices = [cell_st]
+            if like is not None:
+                choices += [st.just(like[i][j]), st.just(-like[i][j])]
+            row.append(data.draw(st.one_of(*choices)))
+        rows.append(row)
+    return rows
+
+
+def _from_dense(basis, dense):
+    n = len(dense)
+    return OperatorMatrix.from_entries(basis, {(i, j): dense[i][j] for i in range(n) for j in range(n)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sparse_operations_match_dense_reference(data):
+    dim = data.draw(st.integers(1, 3), label="dim")
+    dim2 = data.draw(st.integers(1, 3), label="dim2")
+    basis = fock_basis(dim)
+    da = _cells(data, dim)
+    db = _cells(data, dim, like=da)
+    dc = _cells(data, dim2)
+    factor = data.draw(cell_st, label="factor")
+    a, b, c = _from_dense(basis, da), _from_dense(basis, db), _from_dense(fock_basis(dim2), dc)
+    span = range(dim)
+    _assert_matches_dense(a, da)
+    _assert_matches_dense(a @ b, [[sum((da[i][k] * db[k][j] for k in span), RadicalSum.zero()) for j in span] for i in span])
+    _assert_matches_dense(a + b, [[da[i][j] + db[i][j] for j in span] for i in span])
+    _assert_matches_dense(a - b, [[da[i][j] - db[i][j] for j in span] for i in span])
+    _assert_matches_dense(-a, [[-da[i][j] for j in span] for i in span])
+    _assert_matches_dense(a.scale(factor), [[factor * da[i][j] for j in span] for i in span])
+    _assert_matches_dense(a.scale(0), [[RadicalSum.zero()] * dim for _ in span])
+    _assert_matches_dense(a.adjoint(), [[da[j][i].conjugate() for j in span] for i in span])
+    _assert_matches_dense(
+        tensor(a, c),
+        [
+            [da[i1][j1] * dc[i2][j2] for j1 in span for j2 in range(dim2)]
+            for i1 in span
+            for i2 in range(dim2)
+        ],
+    )
+    assert a - a == OperatorMatrix.zeros(basis)
+    assert hash(a + b) == hash(_from_dense(basis, [[da[i][j] + db[i][j] for j in span] for i in span]))
 
 
 def test_ladder_adjoint_pairs():

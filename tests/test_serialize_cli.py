@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -243,11 +244,16 @@ def test_cli_verify_strict_flags_caveats():
         (["numbers", "--max-n", str(MAX_N + 1)], "--max-n"),
         (["realizations", "--max-n", str(MAX_N + 1)], "--max-n"),
         (["verify", "--max-n", str(MAX_N + 1)], "--max-n"),
+        (["verify", "--max-two-j", "0", "--dims", "4", "4", "--max-n", "4"], "--max-two-j"),
+        (["verify", "--max-two-j", "-1"], "--max-two-j"),
     ],
 )
-def test_cli_rejects_bad_input_in_process(argv, fragment, capsys):
+def test_cli_rejects_bad_input_in_process(argv, fragment, capsys, monkeypatch):
     assert 2 * (MAX_MATRIX_DIM // 2 + 1) == MAX_MATRIX_DIM + 1  # --dims case is one over
+    sections_run = []
+    monkeypatch.setattr(cli, "verify_all", lambda **kwargs: sections_run.append(kwargs))
     assert cli.run(argv) == 2
+    assert sections_run == []  # rejected before any section ran
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and fragment in captured.err
@@ -262,3 +268,28 @@ def test_cli_size_bounds_admit_largest_inputs():
     RunConfig("single-mode", dim=MAX_MATRIX_DIM)
     RunConfig("spin-rep", two_j=MAX_MATRIX_DIM - 1)
     RunConfig("numbers", fmt="csv", nu_values=[0.25], max_n=MAX_N)
+
+
+# Full stdout sha256 and exit code of fast in-process runs: any change to the
+# matrix kernel or the serializer must leave these bytes unchanged.
+BYTE_PINS = [
+    (["two-mode", "--dims", "6", "6"], 0,
+     "719a46ed924919c85f54375c46ef19b5bf8eb7e8d5bc3a76df8c7e552dedadab"),
+    (["two-mode", "--dims", "3", "4", "--format", "csv", "--nu", "0.25"], 0,
+     "0d1915d97d058d15226868ffe2e5be36df2a750d8673a01fd02465bdbba2026c"),
+    (["single-mode", "--dim", "7"], 0,
+     "b02d607e874cfb9d36532623de0ee7a1ce1149e3c97ca2b04b470f3b9f92d005"),
+    (["spin-rep", "--two-j", "3"], 0,
+     "a7b967678462a5ece9c224817ca589ad2bb2f0a3e24f90ee5ef375abae181a9d"),
+    (["so3-rep", "--two-j", "2"], 0,
+     "d521fac4895c8ac3924870783df86e18f05579b027f4acd2d4d34799dd4b6eaa"),
+    (["errata", "--format", "json"], 0,
+     "7730714d60c153c7bfd4a3dbb02a9a29e8e99d9e1fa646fa266e58194eeea36e"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", BYTE_PINS, ids=[" ".join(p[0]) for p in BYTE_PINS])
+def test_cli_output_bytes_pinned(argv, code, digest, capsys):
+    assert cli.run(argv) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

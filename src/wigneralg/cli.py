@@ -12,16 +12,17 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .errors import OddTwoJNotClosedError
 from .operators import OperatorMatrix
 from .reports import AlgebraReport, Verdict
 from .scalars import deformed_number
-from .serialize import dumps, matrix_to_csv, matrix_to_dict, reports_to_list
+from .serialize import csv_rows, dumps, matrix_to_dict, reports_to_list
 from .single_mode import audit_single_mode, build_single_mode
 from .spin import (
     audit_hp,
@@ -113,13 +114,21 @@ def _resolve_output(path: Optional[str]) -> Optional[Path]:
     return out
 
 
-def _emit(text: str, config: RunConfig) -> None:
+@contextmanager
+def _output(config: RunConfig) -> Iterator[TextIO]:
+    """stdout, or the -o file (under WIGNERALG_OUTPUT_DIR when relative) opened once."""
     out = _resolve_output(config.output_path)
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        yield sys.stdout
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with out.open("w", encoding="utf-8") as stream:
+        yield stream
+
+
+def _emit(text: str, config: RunConfig) -> None:
+    with _output(config) as stream:
+        stream.write(text)
 
 
 def _emit_operators(
@@ -127,15 +136,10 @@ def _emit_operators(
 ) -> int:
     if config.fmt == "csv":
         nu = config.nu_values[0]
-        chunks = []
-        for name in operators:
-            body = matrix_to_csv(operators[name], nu)
-            head, _, rows = body.partition("\n")
-            chunks.append(
-                "\n".join(f"{name},{line}" for line in rows.strip().split("\n"))
-            )
-        text = "operator,row,col,real,imag\n" + "\n".join(chunks) + "\n"
-        _emit(text, config)
+        with _output(config) as stream:
+            stream.write("operator,row,col,real,imag\n")
+            for name, op in operators.items():
+                stream.write(csv_rows(op, nu, f"{name},"))
     else:
         payload = {
             "command": config.command,
@@ -370,7 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("so3-rep", help="deformed so(3) generators"), two_j=True)
     verify = sub.add_parser("verify", help="run every audit")
     add_common(verify, dims=True, max_n=True, formats=("text", "json"))
-    verify.add_argument("--all", action="store_true", help="run the full audit set")
+    verify.add_argument(
+        "--all",
+        action="store_true",
+        help="accepted for compatibility; verify always runs every section",
+    )
     verify.add_argument("--max-two-j", dest="max_two_j", type=int, default=8)
     add_common(sub.add_parser("errata", help="printed-vs-computed diffs"), formats=("text", "json"))
     return parser

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionMismatchError
 from .reports import AlgebraReport, CheckMode, Verdict, Witness
 from .scalars import RadicalSum, numeric_eval, radical_values_equal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NU_GRID = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
 
@@ -372,6 +373,8 @@ def check_specs(
 
 def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
     """Entrywise numeric evaluation; requires nu > -1/2."""
+    import numpy as np  # only the numeric checks need numpy; keeps start-up light
+
     if nu <= -0.5:
         raise ValueError("numeric evaluation needs nu > -1/2")
     out = np.zeros((a.dim, a.dim), dtype=complex)
@@ -385,6 +388,8 @@ def numeric_relation_report(
     spec: RelationSpec, nus: Sequence[float] = NU_GRID, tol: float = 1e-12
 ) -> AlgebraReport:
     """Frobenius-norm residual of lhs - rhs over a nu grid, masked rows only."""
+    import numpy as np
+
     rows = list(range(spec.lhs.dim)) if spec.mask is None else sorted(spec.mask)
     worst = 0.0
     ok = True

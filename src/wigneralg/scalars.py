@@ -4,6 +4,8 @@ Three nested rings:
 
 * ``GaussianRational`` -- a + b*i with exact rational a, b,
 * ``NuPolynomial``     -- polynomials in nu over the Gaussian rationals,
+  stored as integer numerators over one common denominator, real and
+  imaginary parts apart, so its arithmetic runs on plain ints,
 * ``RadicalSum``       -- finite sums  c(nu) * sqrt(p(nu))  with canonical
   real radicands; the entry type of every operator matrix.
 
@@ -18,6 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NegativeRadicandError
@@ -156,41 +159,107 @@ def format_terms(terms: Iterable[Tuple[str, str]], needs_parens: Callable[[str],
     return out
 
 
-class NuPolynomial:
-    """Polynomial in nu, coefficient k belongs to nu^k.
+def _reduced(re: Tuple[int, ...], im: Tuple[int, ...], den: int) -> "NuPolynomial":
+    """The polynomial (re + i*im)/den from numerators without trailing zeros.
 
-    Canonical form: no trailing zero coefficients; the zero polynomial is the
-    empty tuple and reports degree -1.  Hashes are cached: polynomials key the
-    radicand-merge dictionaries in every RadicalSum operation.
+    Divides out gcd(den, all numerators); ``im`` must be empty or as long as ``re``.
+    """
+    if den != 1:
+        g = math.gcd(den, *re, *im)
+        if g != 1:
+            re = tuple(v // g for v in re)
+            im = tuple(v // g for v in im)
+            den //= g
+    return _poly(re, im, den)
+
+
+def _stripped(re: list, im: list, den: int) -> "NuPolynomial":
+    """Like `_reduced`, for numerator lists that may end in zero coefficients."""
+    n = len(re)
+    if im:
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        im = tuple(im[:n]) if any(im[:n]) else ()
+    else:
+        while n and not re[n - 1]:
+            n -= 1
+        im = ()
+    if not n:
+        return P_ZERO
+    return _reduced(tuple(re[:n]), im, den)
+
+
+def _convolve(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    if len(a) == 1:
+        x = a[0]
+        return tuple([x * y for y in b])
+    if len(b) == 1:
+        y = b[0]
+        return tuple([x * y for x in a])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+class NuPolynomial:
+    """Polynomial in nu over the Gaussian rationals; coefficient k belongs to nu^k.
+
+    Stored as integer numerators over one denominator: coefficient k is
+    ``(re[k] + i*im[k]) / den``.  The form is canonical, so equality and
+    hashing compare ``(re, im, den)``:
+
+    * ``re`` has one numerator per coefficient and the top coefficient is
+      nonzero, so the zero polynomial is ``re == ()`` with degree -1;
+    * ``im`` is empty for a real polynomial, otherwise as long as ``re`` with
+      some nonzero entry;
+    * ``den > 0`` and gcd(den, every numerator) == 1.
+
+    Arithmetic runs on plain ints.  ``coeffs`` is a tuple of
+    ``GaussianRational`` built on each access, for printing and export.
+    Hashes are cached: polynomials key the radicand-merge dictionaries in
+    every RadicalSum operation.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("re", "im", "den", "_hash")
 
-    def __init__(self, coeffs: Tuple[GaussianRational, ...] = ()):
-        self.coeffs = tuple(coeffs)
-        self._hash = None
+    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
+        values = list(coeffs)
+        if all(type(v) is int for v in values):
+            p = _stripped(values, [], 1)
+        else:
+            values = [GaussianRational.coerce(v) for v in values]
+            den = math.lcm(*(part.denominator for c in values for part in (c.re, c.im)))
+            re = [c.re.numerator * (den // c.re.denominator) for c in values]
+            im = [c.im.numerator * (den // c.im.denominator) for c in values]
+            p = _stripped(re, im if any(im) else [], den)
+        self.re, self.im, self.den, self._hash = p.re, p.im, p.den, None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NuPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.re == other.re and self.den == other.den and self.im == other.im
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.coeffs)
+            h = hash((self.re, self.im, self.den))
             self._hash = h
         return h
 
     def __repr__(self) -> str:
         return f"NuPolynomial({self.coeffs!r})"
 
+    @property
+    def coeffs(self) -> Tuple[GaussianRational, ...]:
+        """The coefficients, nu-ascending, as reduced Gaussian rationals."""
+        return tuple(self.coefficient(k) for k in range(len(self.re)))
+
     @staticmethod
     def from_coeffs(values: Iterable[ScalarLike]) -> "NuPolynomial":
-        coeffs = [GaussianRational.coerce(v) for v in values]
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        return NuPolynomial(tuple(coeffs))
+        return NuPolynomial(values)
 
     @staticmethod
     def zero() -> "NuPolynomial":
@@ -206,7 +275,9 @@ class NuPolynomial:
 
     @staticmethod
     def constant(value: ScalarLike) -> "NuPolynomial":
-        return NuPolynomial.from_coeffs([value])
+        if type(value) is int:
+            return _poly((value,), (), 1) if value else P_ZERO
+        return NuPolynomial((value,))
 
     @staticmethod
     def coerce(value: Union["NuPolynomial", ScalarLike]) -> "NuPolynomial":
@@ -216,35 +287,47 @@ class NuPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
+        return not self.im
 
     def coefficient(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
+        if not 0 <= k < len(self.re):
+            return GR_ZERO
+        im = Fraction(self.im[k], self.den) if self.im else Fraction(0)
+        return GaussianRational(Fraction(self.re[k], self.den), im)
 
     def __add__(self, other) -> "NuPolynomial":
-        other = NuPolynomial.coerce(other)
-        if not self.coeffs:
+        if not isinstance(other, NuPolynomial):
+            other = NuPolynomial.coerce(other)
+        if not self.re:
             return other
-        if not other.coeffs:
+        if not other.re:
             return self
-        n = max(len(self.coeffs), len(other.coeffs))
-        return NuPolynomial.from_coeffs(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
+        den, d2 = self.den, other.den
+        f1 = f2 = 1
+        if den != d2:
+            g = math.gcd(den, d2)
+            f1, f2 = d2 // g, den // g
+            den *= f1
+        re = _scaled_sum(self.re, f1, other.re, f2)
+        im = []
+        if self.im or other.im:
+            im = _scaled_sum(self.im, f1, other.im, f2)
+            im += [0] * (len(re) - len(im))
+        return _stripped(re, im, den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "NuPolynomial":
         other = NuPolynomial.coerce(other)
-        if not other.coeffs:
+        if not other.re:
             return self
         return self + (-other)
 
@@ -252,24 +335,34 @@ class NuPolynomial:
         return NuPolynomial.coerce(other) - self
 
     def __neg__(self) -> "NuPolynomial":
-        if not self.coeffs:
+        if not self.re:
             return self
-        return NuPolynomial(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-v for v in self.re), tuple(-v for v in self.im), self.den)
 
     def __mul__(self, other) -> "NuPolynomial":
-        other = NuPolynomial.coerce(other)
-        if self.is_zero or other.is_zero:
+        if not isinstance(other, NuPolynomial):
+            other = NuPolynomial.coerce(other)
+        a, b = self.re, other.re
+        if not a or not b:
             return P_ZERO
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1 and len(b) == 1:
-            return NuPolynomial.from_coeffs([a[0] * b[0]])
-        out = [GR_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return NuPolynomial.from_coeffs(out)
+        ai, bi = self.im, other.im
+        den = self.den * other.den
+        if not ai and not bi:
+            re = _convolve(a, b)
+            return _poly(re, (), 1) if den == 1 else _reduced(re, (), den)
+        if not bi:
+            re, im = _convolve(a, b), _convolve(ai, b)
+        elif not ai:
+            re, im = _convolve(a, b), _convolve(a, bi)
+        else:
+            rr, ii = _convolve(a, b), _convolve(ai, bi)
+            ri, ir = _convolve(a, bi), _convolve(ai, b)
+            re = tuple([x - y for x, y in zip(rr, ii)])
+            im = tuple([x + y for x, y in zip(ri, ir)])
+            if not any(im):
+                im = ()
+        # Gaussian integers have no zero divisors: the top coefficient is nonzero
+        return _reduced(re, im, den)
 
     __rmul__ = __mul__
 
@@ -282,12 +375,21 @@ class NuPolynomial:
         return result
 
     def conjugate(self) -> "NuPolynomial":
-        return NuPolynomial(tuple(c.conjugate() for c in self.coeffs))
+        if not self.im:
+            return self
+        return _poly(self.re, tuple(-v for v in self.im), self.den)
 
     def eval_complex(self, nu: complex) -> complex:
+        # int / int is correctly rounded, so each coefficient is float() of
+        # the reduced fraction
+        den = self.den
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * nu + c.as_complex()
+        if self.im:
+            for r, i in zip(reversed(self.re), reversed(self.im)):
+                acc = acc * nu + complex(r / den, i / den)
+        else:
+            for r in reversed(self.re):
+                acc = acc * nu + complex(r / den, 0.0)
         return acc
 
     def __str__(self) -> str:
@@ -301,11 +403,27 @@ class NuPolynomial:
         )
 
 
-P_ZERO = NuPolynomial()
-P_ONE = NuPolynomial((GR_ONE,))
-P_NU = NuPolynomial((GR_ZERO, GR_ONE))
-P_TWO_NU = NuPolynomial((GR_ZERO, GaussianRational(Fraction(2))))
-_ONE_COEFFS = P_ONE.coeffs
+def _scaled_sum(a: Tuple[int, ...], fa: int, b: Tuple[int, ...], fb: int) -> list:
+    """a*fa + b*fb coefficientwise, as long as the longer of a and b."""
+    if len(a) < len(b):
+        a, fa, b, fb = b, fb, a, fa
+    out = [v * fa for v in a] if fa != 1 else list(a)
+    for k, v in enumerate(b):
+        out[k] += v * fb
+    return out
+
+
+def _poly(re: Tuple[int, ...], im: Tuple[int, ...], den: int) -> NuPolynomial:
+    """A NuPolynomial from numerators already in canonical form."""
+    p = object.__new__(NuPolynomial)
+    p.re, p.im, p.den, p._hash = re, im, den, None
+    return p
+
+
+P_ZERO = _poly((), (), 1)
+P_ONE = _poly((1,), (), 1)
+P_NU = _poly((0, 1), (), 1)
+P_TWO_NU = _poly((0, 2), (), 1)
 
 
 def deformed_number(n: int) -> NuPolynomial:
@@ -313,8 +431,8 @@ def deformed_number(n: int) -> NuPolynomial:
     if n < 0:
         raise ValueError("deformed numbers are defined for n >= 0")
     if n % 2 == 0:
-        return NuPolynomial.from_coeffs([n])
-    return NuPolynomial.from_coeffs([n, 2])
+        return NuPolynomial.constant(n)
+    return _poly((n, 2), (), 1)
 
 
 def deformed_factorial(n: int) -> NuPolynomial:
@@ -349,39 +467,73 @@ def _square_free_split(n: int) -> Tuple[int, int]:
     return u, w * m
 
 
-def _canonical_radicand(p: NuPolynomial) -> Tuple[Fraction, NuPolynomial]:
-    """Rewrite sqrt(p) as mult * sqrt(q) with q canonical.
+def _canonical_radicand(p: NuPolynomial) -> Tuple[NuPolynomial, NuPolynomial]:
+    """Rewrite sqrt(p) as mult * sqrt(q) with q canonical and mult a rational constant.
 
     Canonical radicands have integer coefficients with squarefree content and
     (in scope) positive leading coefficient; only integer square factors are
     moved out, polynomial squares stay under the root.
     """
-    if not p.is_real:
+    if p.im:
         raise ValueError("radicands must have real coefficients")
-    if p.is_zero:
-        return Fraction(0), P_ZERO
-    lcm = 1
-    for c in p.coeffs:
-        d = c.re.denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    ints = [int(c.re * lcm) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
-    sign = -1 if ints[-1] < 0 else 1
-    primitive = [v // (sign * content) for v in ints]
+    re, den = p.re, p.den
+    if not re:
+        return P_ZERO, P_ZERO
+    # p = (content/den) * primitive, and content/den = (u1*u2/den)^2 * w2
+    content = math.gcd(*re)
     u1, w1 = _square_free_split(content)
-    u2, w2 = _square_free_split(w1 * lcm)
-    mult = Fraction(u1 * u2, lcm)
-    canonical = NuPolynomial.from_coeffs([sign * w2 * v for v in primitive])
-    return mult, canonical
-
-
-def _radicand_sort_key(p: NuPolynomial):
-    return (p.degree, tuple((c.re.numerator, c.re.denominator) for c in p.coeffs))
+    u2, w2 = _square_free_split(w1 * den)
+    u = u1 * u2
+    g = math.gcd(u, den)
+    mult = _poly((u // g,), (), den // g)
+    return mult, _poly(tuple(w2 * (v // content) for v in re), (), 1)
 
 
 Term = Tuple[NuPolynomial, NuPolynomial]  # (coefficient polynomial, radicand)
+
+
+def _radicand_sort_key(p: NuPolynomial):
+    """(degree, each coefficient's reduced (numerator, denominator)); radicands are real."""
+    den = p.den
+    if den == 1:
+        return len(p.re) - 1, tuple(zip(p.re, repeat(1)))
+    pairs = []
+    for v in p.re:
+        g = math.gcd(v, den)
+        pairs.append((v // g, den // g))
+    return len(p.re) - 1, tuple(pairs)
+
+
+def _sorted_terms(merged: dict) -> Tuple[Term, ...]:
+    """The nonzero terms of a radicand -> coefficient map, in radicand order."""
+    if len(merged) == 1:
+        ((rad, coeff),) = merged.items()
+        return ((coeff, rad),) if coeff.re else ()
+    items = sorted(merged.items(), key=lambda kv: _radicand_sort_key(kv[0]))
+    return tuple([(coeff, rad) for rad, coeff in items if coeff.re])
+
+
+def _is_one(p: NuPolynomial) -> bool:
+    return p.den == 1 and p.re == (1,) and not p.im
+
+
+def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPolynomial) -> Term:
+    """c1*sqrt(r1) * c2*sqrt(r2) as one (coefficient, canonical radicand) term.
+
+    Stored radicands are already canonical, so only genuinely mixed radicand
+    products need re-canonicalization.
+    """
+    if r1 == r2:
+        # sqrt(p)*sqrt(p) = p, valid on the nu > -1/2 domain where in-scope
+        # radicands are nonnegative.
+        coeff = c1 * c2
+        return (coeff if _is_one(r1) else coeff * r1), P_ONE
+    if _is_one(r1):
+        return c1 * c2, r2
+    if _is_one(r2):
+        return c1 * c2, r1
+    mult, rad = _canonical_radicand(r1 * r2)
+    return c1 * c2 * mult, rad
 
 
 @dataclass(frozen=True)
@@ -403,20 +555,14 @@ class RadicalSum:
             if coeff.is_zero:
                 continue
             mult, canonical = _canonical_radicand(radicand)
-            if mult == 0:
+            if not mult.re:
                 continue
-            scaled = coeff * GaussianRational(mult)
-            key = canonical
-            if key in merged:
-                merged[key] = merged[key] + scaled
+            scaled = coeff * mult
+            if canonical in merged:
+                merged[canonical] = merged[canonical] + scaled
             else:
-                merged[key] = scaled
-        terms = tuple(
-            (coeff, rad)
-            for rad, coeff in sorted(merged.items(), key=lambda kv: _radicand_sort_key(kv[0]))
-            if not coeff.is_zero
-        )
-        return RadicalSum(terms)
+                merged[canonical] = scaled
+        return RadicalSum(_sorted_terms(merged))
 
     @staticmethod
     def zero() -> "RadicalSum":
@@ -450,23 +596,23 @@ class RadicalSum:
         return not self.terms
 
     def __add__(self, other) -> "RadicalSum":
-        other = RadicalSum.coerce(other)
-        if self.is_zero:
+        if not isinstance(other, RadicalSum):
+            other = RadicalSum.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if not t1:
             return other
-        if other.is_zero:
+        if not t2:
             return self
-        merged: dict = {rad: coeff for coeff, rad in self.terms}
-        for coeff, rad in other.terms:
+        if len(t1) == 1 and len(t2) == 1 and t1[0][1] == t2[0][1]:
+            coeff = t1[0][0] + t2[0][0]
+            return RadicalSum(((coeff, t1[0][1]),)) if coeff.re else R_ZERO
+        merged: dict = {rad: coeff for coeff, rad in t1}
+        for coeff, rad in t2:
             if rad in merged:
                 merged[rad] = merged[rad] + coeff
             else:
                 merged[rad] = coeff
-        terms = tuple(
-            (coeff, rad)
-            for rad, coeff in sorted(merged.items(), key=lambda kv: _radicand_sort_key(kv[0]))
-            if not coeff.is_zero
-        )
-        return RadicalSum(terms)
+        return RadicalSum(_sorted_terms(merged))
 
     __radd__ = __add__
 
@@ -485,38 +631,23 @@ class RadicalSum:
         return RadicalSum(tuple((-c, r) for c, r in self.terms))
 
     def __mul__(self, other) -> "RadicalSum":
-        other = RadicalSum.coerce(other)
-        if not self.terms or not other.terms:
+        if not isinstance(other, RadicalSum):
+            other = RadicalSum.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if not t1 or not t2:
             return R_ZERO
-        # stored radicands are already canonical, so only genuinely mixed
-        # radicand products need re-canonicalization
+        if len(t1) == 1 and len(t2) == 1:
+            coeff, rad = _term_product(*t1[0], *t2[0])
+            return RadicalSum(((coeff, rad),)) if coeff.re else R_ZERO
         merged: dict = {}
-        for c1, r1 in self.terms:
-            for c2, r2 in other.terms:
-                if r1 == r2:
-                    # sqrt(p)*sqrt(p) = p, valid on the nu > -1/2 domain
-                    # where in-scope radicands are nonnegative.
-                    coeff = c1 * c2
-                    if r1.coeffs != _ONE_COEFFS:
-                        coeff = coeff * r1
-                    rad = P_ONE
-                elif r1.coeffs == _ONE_COEFFS:
-                    coeff, rad = c1 * c2, r2
-                elif r2.coeffs == _ONE_COEFFS:
-                    coeff, rad = c1 * c2, r1
-                else:
-                    mult, rad = _canonical_radicand(r1 * r2)
-                    coeff = c1 * c2 * GaussianRational(mult)
+        for c1, r1 in t1:
+            for c2, r2 in t2:
+                coeff, rad = _term_product(c1, r1, c2, r2)
                 if rad in merged:
                     merged[rad] = merged[rad] + coeff
                 else:
                     merged[rad] = coeff
-        terms = tuple(
-            (coeff, rad)
-            for rad, coeff in sorted(merged.items(), key=lambda kv: _radicand_sort_key(kv[0]))
-            if not coeff.is_zero
-        )
-        return RadicalSum(terms)
+        return RadicalSum(_sorted_terms(merged))
 
     __rmul__ = __mul__
 
@@ -525,7 +656,7 @@ class RadicalSum:
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self.terms)
+        return all(c.is_real for c, _ in self.terms)
 
     def polynomial_part(self) -> NuPolynomial:
         for coeff, rad in self.terms:
@@ -540,7 +671,7 @@ class RadicalSum:
         def term(coeff: NuPolynomial, rad: NuPolynomial) -> Tuple[str, str]:
             if rad != P_ONE:
                 return str(coeff), f"sqrt({rad})"
-            return (str(coeff) if len(coeff.coeffs) == 1 else f"({coeff})"), ""
+            return (str(coeff) if len(coeff.re) == 1 else f"({coeff})"), ""
 
         return format_terms(
             (term(coeff, rad) for coeff, rad in self.terms),
@@ -566,7 +697,8 @@ def numeric_eval(value: Union[NuPolynomial, RadicalSum], nu: float) -> complex:
     total = 0j
     for coeff, rad in value.terms:
         r = rad.eval_complex(nu).real
-        scale = sum(abs(c.as_complex()) for c in rad.coeffs) * max(1.0, abs(nu)) ** max(
+        den = rad.den
+        scale = sum(abs(v / den) for v in rad.re) * max(1.0, abs(nu)) ** max(
             rad.degree, 0
         )
         if r < -ZERO_TOL * (1.0 + scale):

@@ -119,17 +119,26 @@ def dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def matrix_to_csv(matrix: OperatorMatrix, nu: float) -> str:
-    """Numeric-only export at a single nu, one line per cell, zeros included."""
-    lines = ["row,col,real,imag"]
+def csv_rows(matrix: OperatorMatrix, nu: float, prefix: str = "") -> str:
+    """Numeric values at a single nu, one ``{prefix}row,col,real,imag`` line per cell.
+
+    Zero cells are included; every line, the last too, ends in a newline.
+    """
+    lines = []
     for i, row in enumerate(matrix.row_nonzeros()):
         stored = dict(row)
         for j in range(matrix.dim):
             if j not in stored:
-                lines.append(f"{i},{j},0,0")  # format(0.0, ".17g") == "0"
+                lines.append(f"{prefix}{i},{j},0,0")  # format(0.0, ".17g") == "0"
                 continue
             value = numeric_eval(stored[j], nu)
             lines.append(
-                f"{i},{j},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
+                f"{prefix}{i},{j},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
             )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
+
+
+def matrix_to_csv(matrix: OperatorMatrix, nu: float) -> str:
+    """Numeric-only export at a single nu, one line per cell, zeros included."""
+    return "row,col,real,imag\n" + csv_rows(matrix, nu)

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import (
     DimensionTooSmallError,
     InvalidSpinError,
@@ -389,6 +387,8 @@ def hp_relation_specs(rep: HPRep) -> List[RelationSpec]:
 
 def audit_hp(rep: HPRep) -> List[AlgebraReport]:
     """Exact relation checks plus the spectral match with the even-2j block."""
+    import numpy as np
+
     reports = check_specs(hp_relation_specs(rep))
     js = build_js_spin_rep(rep.two_j)
     hp_bracket = commutator(rep.j_plus, rep.j_minus)

@@ -6,7 +6,7 @@ so a full run reads as one verdict line per identity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from .errors import OddTwoJNotClosedError
 from .operators import RelationSpec, check_relation, numeric_relation_report
@@ -181,21 +181,27 @@ def reference_suite() -> List[AlgebraReport]:
 
 
 def numeric_suite(max_two_j: int = 8, dims=(10, 10), single_dim: int = 12) -> List[AlgebraReport]:
-    """Grid-sampled residual checks mirroring the exact audits."""
-    specs: List[RelationSpec] = []
-    specs.extend(single_mode_relation_specs(build_single_mode(single_dim)))
-    specs.extend(two_mode_relation_specs(build_two_mode(*dims)))
-    for two_j in sorted({max(1, max_two_j - 1), max_two_j}):
-        rep = build_js_spin_rep(two_j)
-        specs.extend(su_nu2_relation_specs(rep))
-        specs.extend(condensed_relation_specs(rep))
-        so3 = build_so_nu3(two_j)
-        specs.extend(so_nu3_relation_specs(so3))
-        specs.extend(so_nu3_condensed_specs(so3))
-    even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
-    if even >= 2:
-        specs.extend(hp_relation_specs(build_hp_rep(even)))
-    return [numeric_relation_report(spec) for spec in specs]
+    """Grid-sampled residual checks mirroring the exact audits.
+
+    Each family's specs are evaluated as soon as they are built, so only one
+    family's matrices are alive at a time.
+    """
+
+    def families() -> Iterator[List[RelationSpec]]:
+        yield single_mode_relation_specs(build_single_mode(single_dim))
+        yield two_mode_relation_specs(build_two_mode(*dims))
+        for two_j in sorted({max(1, max_two_j - 1), max_two_j}):
+            rep = build_js_spin_rep(two_j)
+            yield su_nu2_relation_specs(rep)
+            yield condensed_relation_specs(rep)
+            so3 = build_so_nu3(two_j)
+            yield so_nu3_relation_specs(so3)
+            yield so_nu3_condensed_specs(so3)
+        even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
+        if even >= 2:
+            yield hp_relation_specs(build_hp_rep(even))
+
+    return [numeric_relation_report(spec) for specs in families() for spec in specs]
 
 
 def verify_all(

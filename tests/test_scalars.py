@@ -11,10 +11,14 @@ from wigneralg.scalars import (
     NuPolynomial,
     ParityClass,
     RadicalSum,
+    _canonical_radicand,
+    _radicand_sort_key,
+    _square_free_split,
     check_cross_identity,
     check_pair_identities,
     deformed_factorial,
     deformed_number,
+    format_terms,
     numeric_eval,
     parity,
     radical_values_equal,
@@ -260,3 +264,147 @@ def test_term_printer_forms():
     )
     assert str(signed) == "(1 + nu) - sqrt(2) + (1/2 + nu)*sqrt(3 + 2*nu)"
     assert str(-RadicalSum.sqrt_poly(poly(0, 1))) == "-sqrt(nu)"
+
+
+# ---------------------------------------------------------------- integer-backed polynomials
+#
+# NuPolynomial keeps integer numerators over one denominator.  The reference
+# below is the list-of-GaussianRational form: coefficient k of nu^k, trailing
+# zeros stripped, every operation done coefficientwise on exact rationals.
+
+GR0 = GaussianRational()
+part_st = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=12))
+scalar_st = st.one_of(
+    st.integers(-3, 3), part_st, st.builds(GaussianRational, part_st, part_st)
+)
+scalars_st = st.lists(scalar_st, max_size=5)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two coefficient lists; the second may cancel all or the top of the first."""
+    a = draw(scalars_st)
+    b = draw(scalars_st)
+    cut = draw(st.integers(0, len(a) + 1))
+    if draw(st.booleans()):
+        b = [b[k] if k < min(cut, len(b)) else -GaussianRational.coerce(v) for k, v in enumerate(a)]
+    return a, b
+
+
+def ref_poly(values):
+    coeffs = [GaussianRational.coerce(v) for v in values]
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    return coeffs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_poly([(a[k] if k < len(a) else GR0) + (b[k] if k < len(b) else GR0) for k in range(n)])
+
+
+def ref_mul(a, b):
+    out = [GR0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_poly(out)
+
+
+def ref_eval(a, nu):
+    acc = 0j
+    for c in reversed(a):
+        acc = acc * nu + c.as_complex()
+    return acc
+
+
+def ref_str(a):
+    return format_terms(
+        (
+            (str(c), "" if k == 0 else "nu" if k == 1 else f"nu^{k}")
+            for k, c in enumerate(a)
+            if not c.is_zero
+        ),
+        lambda text: ("/" in text or "i" in text) and not text.startswith("("),
+    )
+
+
+def assert_matches_reference(p, ref, nu):
+    assert p.coeffs == tuple(ref)
+    assert p.degree == len(ref) - 1
+    assert p.is_zero == (not ref)
+    assert p.is_real == all(c.is_real for c in ref)
+    for k in range(-1, len(ref) + 2):
+        assert p.coefficient(k) == (ref[k] if 0 <= k < len(ref) else GR0)
+    assert str(p) == ref_str(ref)
+    got, want = p.eval_complex(nu), ref_eval(ref, nu)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    # canonical integer form
+    assert p.den > 0 and math.gcd(p.den, *p.re, *p.im) == 1
+    assert not p.re or p.re[-1] or p.im[-1]
+    assert p.im == () or (len(p.im) == len(p.re) and any(p.im))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_pairs(), st.sampled_from([0.0, 0.3, -0.25, 1.7, -0.4999]))
+def test_integer_polynomial_matches_gaussian_reference(pair, nu):
+    a_values, b_values = pair
+    p, q = NuPolynomial(a_values), NuPolynomial.from_coeffs(b_values)
+    a, b = ref_poly(a_values), ref_poly(b_values)
+    neg_b = [-c for c in b]
+    for value, ref in (
+        (p, a),
+        (q, b),
+        (p + q, ref_add(a, b)),
+        (p - q, ref_add(a, neg_b)),
+        (p * q, ref_mul(a, b)),
+        (q * p, ref_mul(a, b)),
+        (-q, neg_b),
+        (p.conjugate(), [c.conjugate() for c in a]),
+    ):
+        assert_matches_reference(value, ref, nu)
+    assert (p == q) == (a == b)
+    assert (p + q == q) == (not a)
+    if a == b:
+        assert hash(p) == hash(q)
+    rebuilt = NuPolynomial(p.coeffs)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def ref_canonical_radicand(values):
+    """The Fraction-based canonicalization NuPolynomial radicands had before."""
+    lcm = 1
+    for c in values:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in values]
+    content = 0
+    for v in ints:
+        content = math.gcd(content, v)
+    sign = -1 if ints[-1] < 0 else 1
+    primitive = [v // (sign * content) for v in ints]
+    u1, w1 = _square_free_split(content)
+    u2, w2 = _square_free_split(w1 * lcm)
+    return Fraction(u1 * u2, lcm), [sign * w2 * v for v in primitive]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(part_st, max_size=4))
+def test_canonical_radicand_matches_fraction_reference(values):
+    p = NuPolynomial(values)
+    assert _radicand_sort_key(p) == (
+        p.degree,
+        tuple((c.re.numerator, c.re.denominator) for c in p.coeffs),
+    )
+    mult, rad = _canonical_radicand(p)
+    if p.is_zero:
+        assert mult.is_zero and rad.is_zero
+        return
+    ref_mult, ref_rad = ref_canonical_radicand([c.re for c in p.coeffs])
+    assert mult == NuPolynomial.constant(ref_mult)
+    assert rad == NuPolynomial(ref_rad)
+
+
+def test_radical_sum_is_real():
+    assert RadicalSum.zero().is_real
+    assert RadicalSum.sqrt_poly(poly(1, 2)).is_real
+    assert not (RadicalSum.sqrt_poly(poly(3)) * poly(GaussianRational(Fraction(1), Fraction(1)))).is_real

@@ -20,6 +20,7 @@ from wigneralg.serialize import (
 )
 from wigneralg.single_mode import build_single_mode
 from wigneralg.spin import build_js_spin_rep, build_so_nu3
+from wigneralg.two_mode import build_two_mode
 
 
 def run_cli(*args, env=None):
@@ -285,6 +286,12 @@ BYTE_PINS = [
      "d521fac4895c8ac3924870783df86e18f05579b027f4acd2d4d34799dd4b6eaa"),
     (["errata", "--format", "json"], 0,
      "7730714d60c153c7bfd4a3dbb02a9a29e8e99d9e1fa646fa266e58194eeea36e"),
+    (["numbers", "--max-n", "12"], 0,
+     "131cdab21f1eef5f22a5375e4b39e49bf96457a232272d7ac4a3b9cf055d48fa"),
+    (["numbers", "--format", "csv", "--nu", "0.5", "--max-n", "4"], 0,
+     "49d4972b9ee03cd3a39ee6fd737b7efc6fd1e389d7209bd515db24ceaac0455b"),
+    (["realizations", "--max-n", "5"], 0,
+     "060f5925b0a98367ac5a2a947118d7396e448ef6b83815201806327dcc9a67bd"),
 ]
 
 
@@ -293,3 +300,26 @@ def test_cli_output_bytes_pinned(argv, code, digest, capsys):
     assert cli.run(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_export_bytes_pinned_through_output_file(tmp_path):
+    # the CLI streams the CSV operator by operator to the -o file
+    out = tmp_path / "ops.csv"
+    assert cli.run(["two-mode", "--dims", "3", "4", "--format", "csv", "--nu", "0.25", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BYTE_PINS[1][2]
+    # matrix_to_csv keeps its own header and bytes
+    text = matrix_to_csv(build_two_mode(3, 4).a[0], 0.25)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d7642d03cc432ccbd70d05ec1a141c91843d2b0bbdf99f6f2018bca1b1a175e4"
+    )
+    text = matrix_to_csv(build_so_nu3(3).l_y, 0.5)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4648ef7be33f4241951e606ccc92a0a726a1a2bbbb0f559976d70798ddd9ecac"
+    )
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported only by the numeric checks, not at start-up
+    code = "import sys, wigneralg.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -45,8 +45,8 @@ USAGE_ERROR = 2
 # Largest matrix dimension a command may build: --dim, the product of --dims,
 # --two-j + 1 and --max-two-j + 1 (two-mode up to 21 x 21).
 MAX_MATRIX_DIM = 441
-# Largest --max-n; the realization audit grows roughly as max_n**4 and takes
-# about two minutes at 50 on a 2-core machine.
+# Largest --max-n; the realization audit grows roughly as max_n**4, and
+# `realizations --max-n 50` takes about 1.7 s on a 2-core machine.
 MAX_N = 50
 
 
@@ -75,8 +75,11 @@ class RunConfig:
             raise UsageError("CSV export is numeric-only and needs exactly one --nu value")
         if self.fmt != "csv" and self.nu_values:
             raise UsageError("--nu only applies to --format csv exports")
-        if self.max_n is not None and not 0 <= self.max_n <= MAX_N:
-            raise UsageError(f"--max-n must be between 0 and {MAX_N}")
+        min_n = 2 if self.command in ("realizations", "verify") else 0
+        if self.max_n is not None and not min_n <= self.max_n <= MAX_N:
+            raise UsageError(f"--max-n must be between {min_n} and {MAX_N}")
+        if self.two_j is not None and self.two_j < 1:
+            raise UsageError("--two-j must be at least 1")
         if self.dims is not None and any(d < 2 for d in self.dims):
             raise UsageError("--dims values must be at least 2")
         if self.dim is not None and self.dim < 2:
@@ -196,10 +199,8 @@ def _cmd_two_mode(config: RunConfig) -> int:
 
 def _cmd_realizations(config: RunConfig) -> int:
     max_n = config.max_n if config.max_n is not None else 8
-    if max_n < 2:
-        raise UsageError("--max-n must be at least 2")
-    reports = audit_realizations(max_n)
-    basis = build_quasi_basis(max_n)
+    basis = build_quasi_basis(max_n + 1)
+    reports = audit_realizations(max_n, basis)
     payload = {
         "command": "realizations",
         "quasi_basis": [
@@ -413,15 +414,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             dims=tuple(dims) if dims is not None else None,
             **values,
         )
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
         return _HANDLERS[config.command](config)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as err:
+    except (UsageError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

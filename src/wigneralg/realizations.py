@@ -19,17 +19,18 @@ that rely on it say so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .reports import AlgebraReport, Witness, exact_report
 from .scalars import (
-    GR_ONE,
-    GR_ZERO,
+    P_NU,
+    P_ONE,
+    P_ZERO,
     GaussianRational,
     NuPolynomial,
     RadicalSum,
+    ScalarLike,
     deformed_number,
     format_terms,
 )
@@ -39,14 +40,38 @@ Key = Tuple[int, int]  # (x degree, delta degree)
 
 @dataclass(frozen=True)
 class BiPolynomial:
-    """Polynomial in x and delta with Gaussian-rational coefficients."""
+    """Polynomial in x and delta with Gaussian-rational coefficients.
 
-    terms: Tuple[Tuple[Key, GaussianRational], ...] = ()
+    Stored as ``rows``: row k is the coefficient of x^k, a NuPolynomial in
+    delta.  Trailing zero rows are dropped, so the zero polynomial has no rows
+    and equality and hashing compare the rows.  All arithmetic runs on them.
+    """
+
+    rows: Tuple[NuPolynomial, ...] = ()
+
+    def __post_init__(self):
+        rows = list(self.rows)
+        while rows and not rows[-1].re:
+            rows.pop()
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def terms(self) -> Tuple[Tuple[Key, GaussianRational], ...]:
+        """The nonzero ((x degree, delta degree), coefficient) pairs, ascending."""
+        return tuple(
+            ((xd, dd), c)
+            for xd, row in enumerate(self.rows)
+            for dd, c in enumerate(row.coeffs)
+            if not c.is_zero
+        )
 
     @staticmethod
-    def from_dict(data: Dict[Key, GaussianRational]) -> "BiPolynomial":
+    def from_dict(data: Dict[Key, ScalarLike]) -> "BiPolynomial":
+        rows: List[Dict[int, ScalarLike]] = [{} for _ in range(max((k[0] + 1 for k in data), default=0))]
+        for (xd, dd), c in data.items():
+            rows[xd][dd] = c
         return BiPolynomial(
-            tuple(sorted((k, c) for k, c in data.items() if not c.is_zero))
+            NuPolynomial([row.get(dd, 0) for dd in range(max(row, default=-1) + 1)]) for row in rows
         )
 
     @staticmethod
@@ -58,75 +83,64 @@ class BiPolynomial:
         return BP_ONE
 
     @staticmethod
-    def constant(value) -> "BiPolynomial":
-        return BiPolynomial.from_dict({(0, 0): GaussianRational.coerce(value)})
-
-    @staticmethod
     def from_delta_poly(p: NuPolynomial) -> "BiPolynomial":
         """Embed a polynomial in the deformation parameter as delta powers."""
-        return BiPolynomial.from_dict({(0, k): c for k, c in enumerate(p.coeffs)})
+        return BiPolynomial((p,))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def as_dict(self) -> Dict[Key, GaussianRational]:
         return dict(self.terms)
 
     def __add__(self, other: "BiPolynomial") -> "BiPolynomial":
-        data = self.as_dict()
-        for key, c in other.terms:
-            data[key] = data.get(key, GR_ZERO) + c
-        return BiPolynomial.from_dict(data)
+        a, b = self.rows, other.rows
+        if len(a) < len(b):
+            a, b = b, a
+        return BiPolynomial([r + s for r, s in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "BiPolynomial") -> "BiPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "BiPolynomial":
-        return BiPolynomial(tuple((k, -c) for k, c in self.terms))
+        return BiPolynomial([-r for r in self.rows])
 
     def __mul__(self, other: "BiPolynomial") -> "BiPolynomial":
-        data: Dict[Key, GaussianRational] = {}
-        for (xa, da), ca in self.terms:
-            for (xb, db), cb in other.terms:
-                key = (xa + xb, da + db)
-                prod = ca * cb
-                data[key] = data.get(key, GR_ZERO) + prod
-        return BiPolynomial.from_dict(data)
+        a, b = self.rows, other.rows
+        if not a or not b:
+            return BP_ZERO
+        out = [P_ZERO] * (len(a) + len(b) - 1)
+        for i, r in enumerate(a):
+            if r.re:
+                for j, s in enumerate(b, i):
+                    out[j] = out[j] + r * s
+        return BiPolynomial(out)
 
     def scale(self, value) -> "BiPolynomial":
-        c = GaussianRational.coerce(value)
-        return BiPolynomial.from_dict({k: v * c for k, v in self.terms})
+        c = NuPolynomial.constant(value)
+        return BiPolynomial([r * c for r in self.rows])
 
     def x_degree(self) -> int:
-        return max((k[0] for k, _ in self.terms), default=-1)
+        return len(self.rows) - 1
 
     def x_coefficient(self, n: int) -> NuPolynomial:
         """Coefficient of x^n as a polynomial in delta."""
-        if self.is_zero:
-            return NuPolynomial.zero()
-        top = max((k[1] for k, _ in self.terms if k[0] == n), default=-1)
-        coeffs = [GR_ZERO] * (top + 1)
-        for (xd, dd), c in self.terms:
-            if xd == n:
-                coeffs[dd] = c
-        return NuPolynomial.from_coeffs(coeffs)
+        return self.rows[n] if 0 <= n < len(self.rows) else P_ZERO
 
     def shift_x(self, h: int) -> "BiPolynomial":
-        """Exact substitution x -> x + h."""
-        data: Dict[Key, GaussianRational] = {}
-        for (xd, dd), c in self.terms:
-            for i in range(xd + 1):
-                key = (i, dd)
-                contrib = c * (math.comb(xd, i) * h ** (xd - i))
-                data[key] = data.get(key, GR_ZERO) + contrib
-        return BiPolynomial.from_dict(data)
+        """Exact substitution x -> x + h, by synthetic division (Horner's Taylor shift)."""
+        rows = list(self.rows)
+        if h:
+            top = len(rows) - 1
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    rows[j] = rows[j] + rows[j + 1] * h
+        return BiPolynomial(rows)
 
     def flip_delta(self) -> "BiPolynomial":
         """Exact substitution delta -> -delta."""
-        return BiPolynomial(
-            tuple(sorted((k, c if k[1] % 2 == 0 else -c) for k, c in self.terms))
-        )
+        return BiPolynomial([r.flip_nu() for r in self.rows])
 
     def __str__(self) -> str:
         def monomial(xd: int, dd: int) -> str:
@@ -134,17 +148,21 @@ class BiPolynomial:
             d = "" if not dd else "d" if dd == 1 else f"d^{dd}"
             return "*".join(part for part in (x, d) if part)
 
-        terms = sorted(self.terms, key=lambda t: (-t[0][0], t[0][1]))
         return format_terms(
-            ((str(c), monomial(xd, dd)) for (xd, dd), c in terms),
+            (
+                (str(c), monomial(xd, dd))
+                for xd in reversed(range(len(self.rows)))
+                for dd, c in enumerate(self.rows[xd].coeffs)
+                if not c.is_zero
+            ),
             lambda text: "/" in text or "i" in text,
         )
 
 
 BP_ZERO = BiPolynomial()
-BP_ONE = BiPolynomial((((0, 0), GR_ONE),))
-BP_X = BiPolynomial((((1, 0), GR_ONE),))
-BP_DELTA = BiPolynomial((((0, 1), GR_ONE),))
+BP_ONE = BiPolynomial((P_ONE,))
+BP_X = BiPolynomial((P_ZERO, P_ONE))
+BP_DELTA = BiPolynomial((P_NU,))
 
 
 ########################################################################
@@ -156,7 +174,7 @@ def monomial_basis(n: int) -> BiPolynomial:
     """f_n = x^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return BiPolynomial((((n, 0), GR_ONE),))
+    return BiPolynomial((P_ZERO,) * n + (P_ONE,))
 
 
 def monomial_lowering(p: BiPolynomial) -> BiPolynomial:
@@ -165,16 +183,7 @@ def monomial_lowering(p: BiPolynomial) -> BiPolynomial:
     Implemented on coefficients (never dividing by x): the derivative part
     contributes n*x^(n-1), the parity part 2*delta*x^(n-1) for odd n.
     """
-    data: Dict[Key, GaussianRational] = {}
-    for (xd, dd), c in p.terms:
-        if xd == 0:
-            continue
-        key = (xd - 1, dd)
-        data[key] = data.get(key, GR_ZERO) + c * xd
-        if xd % 2 == 1:
-            key_odd = (xd - 1, dd + 1)
-            data[key_odd] = data.get(key_odd, GR_ZERO) + c * 2
-    return BiPolynomial.from_dict(data)
+    return BiPolynomial([row * NuPolynomial((xd, 2 * (xd % 2))) for xd, row in enumerate(p.rows) if xd])
 
 
 def monomial_raising(p: BiPolynomial) -> BiPolynomial:
@@ -184,8 +193,7 @@ def monomial_raising(p: BiPolynomial) -> BiPolynomial:
 
 def monomial_number(p: BiPolynomial) -> BiPolynomial:
     """x d/dx, termwise x^n -> n x^n."""
-    data = {k: c * k[0] for k, c in p.terms}
-    return BiPolynomial.from_dict(data)
+    return BiPolynomial([row * xd for xd, row in enumerate(p.rows)])
 
 
 ########################################################################
@@ -209,7 +217,7 @@ def build_quasi_basis(max_n: int) -> QuasiPolyBasis:
     polys = [BP_ONE]
     current = BP_ONE
     for k in range(max_n):
-        factor = BP_X - BiPolynomial.constant(k) - BP_DELTA.scale((-1) ** k)
+        factor = BiPolynomial((NuPolynomial((-k, -((-1) ** k))), P_ONE))  # x - k - delta*(-1)^k
         current = current * factor
         polys.append(current)
     return QuasiPolyBasis(max_n=max_n, polys=tuple(polys))
@@ -244,13 +252,8 @@ def phi_coefficients(f: BiPolynomial, basis: QuasiPolyBasis) -> List[NuPolynomia
 
 
 def grading_reflection(f: BiPolynomial, basis: QuasiPolyBasis) -> BiPolynomial:
-    """Linear extension of R phi_n = (-1)^n phi_n (grading-reconstructed)."""
-    out = BP_ZERO
-    for n, c in enumerate(phi_coefficients(f, basis)):
-        if c.is_zero:
-            continue
-        out = out + basis.phi(n) * BiPolynomial.from_delta_poly(c).scale((-1) ** n)
-    return out
+    """Linear extension of R phi_n = (-1)^n phi_n (grading-reconstructed); phi_n has x-degree n."""
+    return apply_basis_linear(lambda phi: phi.scale((-1) ** phi.x_degree()), f, basis)
 
 
 def apply_basis_linear(raw_op, f: BiPolynomial, basis: QuasiPolyBasis) -> BiPolynomial:
@@ -282,12 +285,24 @@ def _poly_family_report(relation_id, pairs, caveat=None) -> AlgebraReport:
     return exact_report(relation_id, witness, caveat)
 
 
-def audit_realizations(max_n: int) -> List[AlgebraReport]:
-    """Verify both coordinate realizations for all n <= max_n, exactly."""
+def audit_realizations(max_n: int, basis: Optional[QuasiPolyBasis] = None) -> List[AlgebraReport]:
+    """Verify both coordinate realizations for all n <= max_n, exactly.
+
+    ``basis`` (built when not given) must reach phi_(max_n+1).
+    """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    basis = build_quasi_basis(max_n + 1)
+    if basis is None:
+        basis = build_quasi_basis(max_n + 1)
     ns = range(max_n + 1)
+    phi = basis.polys
+    lowered = [quasi_lowering(phi[n]) for n in ns]
+    raised = [quasi_raising(phi[n]) for n in ns]
+    lowered_raised = [apply_basis_linear(quasi_raising, lowered[n], basis) for n in ns]
+    delta_reflected = [BP_DELTA * grading_reflection(phi[n], basis) for n in ns]
+    iterated = [BP_ONE]
+    for _ in ns[1:]:
+        iterated.append(quasi_raising(iterated[-1]))
     reports = [
         _poly_family_report(
             f"monomial: a f_n = [n] f_(n-1) (n<={max_n}, delta=nu)",
@@ -315,31 +330,27 @@ def audit_realizations(max_n: int) -> List[AlgebraReport]:
             [
                 (
                     n,
-                    quasi_lowering(basis.phi(n)),
-                    BiPolynomial.from_delta_poly(deformed_number(n)) * basis.phi(n - 1)
-                    if n >= 1
-                    else BP_ZERO,
+                    lowered[n],
+                    BiPolynomial.from_delta_poly(deformed_number(n)) * phi[n - 1] if n >= 1 else BP_ZERO,
                 )
                 for n in ns
             ],
         ),
         _poly_family_report(
             f"quasi: adag phi_n = phi_(n+1) (n<={max_n})",
-            [(n, quasi_raising(basis.phi(n)), basis.phi(n + 1)) for n in ns],
+            [(n, raised[n], phi[n + 1]) for n in ns],
         ),
         _poly_family_report(
             f"quasi: (adag)^n 1 = phi_n (n<={max_n})",
-            [(n, _iterated_raising(n), basis.phi(n)) for n in ns],
+            [(n, iterated[n], phi[n]) for n in ns],
         ),
         _poly_family_report(
             f"quasi: [a,adag] phi_n = (1 + 2 delta R) phi_n (n<={max_n})",
             [
                 (
                     n,
-                    apply_basis_linear(quasi_lowering, quasi_raising(basis.phi(n)), basis)
-                    - apply_basis_linear(quasi_raising, quasi_lowering(basis.phi(n)), basis),
-                    basis.phi(n)
-                    + (BP_DELTA * grading_reflection(basis.phi(n), basis)).scale(2),
+                    apply_basis_linear(quasi_lowering, raised[n], basis) - lowered_raised[n],
+                    phi[n] + delta_reflected[n].scale(2),
                 )
                 for n in ns
             ],
@@ -348,44 +359,33 @@ def audit_realizations(max_n: int) -> List[AlgebraReport]:
         _poly_family_report(
             f"quasi: N phi_n = n phi_n with N = adag a - delta + delta R (n<={max_n})",
             [
-                (
-                    n,
-                    apply_basis_linear(quasi_raising, quasi_lowering(basis.phi(n)), basis)
-                    - BP_DELTA * basis.phi(n)
-                    + BP_DELTA * grading_reflection(basis.phi(n), basis),
-                    basis.phi(n).scale(n),
-                )
+                (n, lowered_raised[n] - BP_DELTA * phi[n] + delta_reflected[n], phi[n].scale(n))
                 for n in ns
             ],
             caveat="reflection operator reconstructed from the grading R phi_n = (-1)^n phi_n",
         ),
     ]
-    reports.append(realization_matrix_consistency(max_n))
+    reports.append(realization_matrix_consistency(max_n, basis, lowered))
     return reports
 
 
-def _iterated_raising(n: int) -> BiPolynomial:
-    out = BP_ONE
-    for _ in range(n):
-        out = quasi_raising(out)
-    return out
-
-
-def realization_matrix_consistency(max_n: int) -> AlgebraReport:
+def realization_matrix_consistency(
+    max_n: int, basis: QuasiPolyBasis, lowered: List[BiPolynomial]
+) -> AlgebraReport:
     """Both realizations reproduce the abstract ladder matrix elements.
 
     The basis-function coefficients [n] equal the square of the abstract
-    entries sqrt([n]) once the radical is squared, for every n <= max_n.
+    entries sqrt([n]) once the radical is squared, for every n <= max_n;
+    ``lowered[n]`` is the image a phi_n.
     """
     relation_id = f"realizations match abstract ladder entries after squaring (n<={max_n})"
-    basis = build_quasi_basis(max_n + 1)
     for n in range(1, max_n + 1):
         abstract_sq = RadicalSum.sqrt_poly(deformed_number(n)) * RadicalSum.sqrt_poly(
             deformed_number(n)
         )
         expected = RadicalSum.from_polynomial(deformed_number(n))
         monomial_coeff = monomial_lowering(monomial_basis(n)).x_coefficient(n - 1)
-        quasi_coeff = phi_coefficients(quasi_lowering(basis.phi(n)), basis)[n - 1]
+        quasi_coeff = phi_coefficients(lowered[n], basis)[n - 1]
         if abstract_sq != expected or monomial_coeff != deformed_number(n) or quasi_coeff != deformed_number(n):
             return exact_report(
                 relation_id,

@@ -124,7 +124,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 HALF = Fraction(1, 2)
 
@@ -378,6 +377,13 @@ class NuPolynomial:
         if not self.im:
             return self
         return _poly(self.re, tuple(-v for v in self.im), self.den)
+
+    def flip_nu(self) -> "NuPolynomial":
+        """p(-nu): the odd numerators negated."""
+        re, im = list(self.re), list(self.im)
+        re[1::2] = [-v for v in re[1::2]]
+        im[1::2] = [-v for v in im[1::2]]
+        return _poly(tuple(re), tuple(im), self.den)
 
     def eval_complex(self, nu: complex) -> complex:
         # int / int is correctly rounded, so each coefficient is float() of

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigneralg.realizations import (
     BiPolynomial,
@@ -17,7 +19,7 @@ from wigneralg.realizations import (
     quasi_raising,
 )
 from wigneralg.reports import Verdict
-from wigneralg.scalars import GaussianRational, NuPolynomial, deformed_number
+from wigneralg.scalars import GR_ZERO, GaussianRational, NuPolynomial, deformed_number, format_terms
 
 
 def bp(data):
@@ -173,3 +175,152 @@ def test_bipolynomial_str():
     )
     assert str(p) == "-x^2*d + (2*i)*x + 1/3 + d^2"
     assert str(BiPolynomial()) == "0"
+
+
+# ---------------------------------------------------------------- row form vs dict reference
+
+
+class ReferenceBiPolynomial:
+    """The dict-of-GaussianRational BiPolynomial the row form replaced."""
+
+    def __init__(self, terms=()):
+        self.terms = tuple(terms)
+
+    @staticmethod
+    def from_dict(data):
+        return ReferenceBiPolynomial(sorted((k, c) for k, c in data.items() if not c.is_zero))
+
+    def as_dict(self):
+        return dict(self.terms)
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        data = self.as_dict()
+        for key, c in other.terms:
+            data[key] = data.get(key, GR_ZERO) + c
+        return ReferenceBiPolynomial.from_dict(data)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ReferenceBiPolynomial(tuple((k, -c) for k, c in self.terms))
+
+    def __mul__(self, other):
+        data = {}
+        for (xa, da), ca in self.terms:
+            for (xb, db), cb in other.terms:
+                key = (xa + xb, da + db)
+                data[key] = data.get(key, GR_ZERO) + ca * cb
+        return ReferenceBiPolynomial.from_dict(data)
+
+    def scale(self, value):
+        c = GaussianRational.coerce(value)
+        return ReferenceBiPolynomial.from_dict({k: v * c for k, v in self.terms})
+
+    def x_degree(self):
+        return max((k[0] for k, _ in self.terms), default=-1)
+
+    def x_coefficient(self, n):
+        if not self.terms:
+            return NuPolynomial.zero()
+        top = max((k[1] for k, _ in self.terms if k[0] == n), default=-1)
+        coeffs = [GR_ZERO] * (top + 1)
+        for (xd, dd), c in self.terms:
+            if xd == n:
+                coeffs[dd] = c
+        return NuPolynomial.from_coeffs(coeffs)
+
+    def shift_x(self, h):
+        data = {}
+        for (xd, dd), c in self.terms:
+            for i in range(xd + 1):
+                key = (i, dd)
+                data[key] = data.get(key, GR_ZERO) + c * (math.comb(xd, i) * h ** (xd - i))
+        return ReferenceBiPolynomial.from_dict(data)
+
+    def flip_delta(self):
+        return ReferenceBiPolynomial(
+            tuple(sorted((k, c if k[1] % 2 == 0 else -c) for k, c in self.terms))
+        )
+
+    def __str__(self):
+        def monomial(xd, dd):
+            x = "" if not xd else "x" if xd == 1 else f"x^{xd}"
+            d = "" if not dd else "d" if dd == 1 else f"d^{dd}"
+            return "*".join(part for part in (x, d) if part)
+
+        terms = sorted(self.terms, key=lambda t: (-t[0][0], t[0][1]))
+        return format_terms(
+            ((str(c), monomial(xd, dd)) for (xd, dd), c in terms),
+            lambda text: "/" in text or "i" in text,
+        )
+
+
+gaussian_st = st.one_of(
+    st.integers(-4, 4).map(GaussianRational.coerce),
+    st.builds(lambda n, d: GaussianRational(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 4)),
+    st.builds(
+        lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+        st.integers(1, 3),
+    ),
+)
+bi_dict_st = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)), gaussian_st, max_size=8
+)
+
+
+@st.composite
+def bi_pair_st(draw):
+    """Two coefficient dicts; the second may cancel some or all of the first."""
+    a = draw(bi_dict_st)
+    cancelled = draw(st.sets(st.sampled_from(sorted(a)), max_size=len(a))) if a else set()
+    b = {k: -a[k] for k in cancelled}
+    b.update(draw(bi_dict_st) if draw(st.booleans()) else {})
+    return a, b
+
+
+def assert_matches_bi_reference(p, ref):
+    assert p.terms == ref.terms
+    assert p.as_dict() == ref.as_dict()
+    assert str(p) == str(ref)
+    assert p.x_degree() == ref.x_degree()
+    assert p.is_zero == (not ref.terms)
+    for n in range(-1, ref.x_degree() + 2):
+        assert p.x_coefficient(n) == ref.x_coefficient(n)
+    # canonical rows: no trailing zero row
+    assert not p.rows or not p.rows[-1].is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(bi_pair_st(), gaussian_st)
+def test_row_bipolynomial_matches_dict_reference(pair, factor):
+    a_data, b_data = pair
+    p, q = BiPolynomial.from_dict(a_data), BiPolynomial.from_dict(b_data)
+    a, b = ReferenceBiPolynomial.from_dict(a_data), ReferenceBiPolynomial.from_dict(b_data)
+    cases = [
+        (p, a),
+        (q, b),
+        (p + q, a + b),
+        (p - q, a - b),
+        (p * q, a * b),
+        (q * p, a * b),
+        (-p, -a),
+        (p.scale(factor), a.scale(factor)),
+        (q.scale(0), b.scale(0)),
+        (p.flip_delta(), a.flip_delta()),
+    ]
+    cases += [(p.shift_x(h), a.shift_x(h)) for h in range(-2, 3)]
+    for value, ref in cases:
+        assert_matches_bi_reference(value, ref)
+    assert (p == q) == (a == b)
+    assert (p + q == q) == (not a.terms)
+    if a == b:
+        assert hash(p) == hash(q)
+    rebuilt = BiPolynomial.from_dict(p.as_dict())
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert (p - p) == BiPolynomial() and hash(p - p) == hash(BiPolynomial())

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wigneralg import cli
 from wigneralg.cli import MAX_MATRIX_DIM, MAX_N, RunConfig
@@ -292,6 +297,11 @@ BYTE_PINS = [
      "49d4972b9ee03cd3a39ee6fd737b7efc6fd1e389d7209bd515db24ceaac0455b"),
     (["realizations", "--max-n", "5"], 0,
      "060f5925b0a98367ac5a2a947118d7396e448ef6b83815201806327dcc9a67bd"),
+    # large enough to exercise the x-shift and the phi-basis expansion
+    (["realizations", "--max-n", "15", "--format", "json"], 0,
+     "6b8a15ecac863e9e679966c1cd0d018d5a3f13629c2d8724ef80dba66c187a95"),
+    (["realizations", "--max-n", "20"], 0,
+     "e45f55ea9810662b6bd3fd4f84b722b9909f3b0009c6efa2411c5296bf9a1435"),
 ]
 
 
@@ -323,3 +333,117 @@ def test_cli_import_does_not_load_numpy():
     code = "import sys, wigneralg.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# (formats, size flags) each command's parser accepts; the first format is the default
+CLI_SURFACE = {
+    "numbers": (("json", "csv"), {"--max-n"}),
+    "single-mode": (("json", "csv"), {"--dim"}),
+    "two-mode": (("json", "csv"), {"--dims"}),
+    "realizations": (("json",), {"--max-n"}),
+    "spin-rep": (("json", "csv"), {"--two-j"}),
+    "hp-rep": (("json", "csv"), {"--two-j"}),
+    "so3-rep": (("json", "csv"), {"--two-j"}),
+    "verify": (("text", "json"), {"--dims", "--max-n", "--max-two-j"}),
+    "errata": (("text", "json"), set()),
+}
+
+
+def _size_st(over):
+    return st.one_of(st.none(), st.integers(-1, 3), st.integers(over, over + 2))
+
+
+SIZE_ST = {
+    "--dims": st.one_of(
+        st.none(), st.tuples(*[st.one_of(st.integers(-1, 3), st.just(MAX_MATRIX_DIM // 2 + 1))] * 2)
+    ),
+    "--dim": _size_st(MAX_MATRIX_DIM + 1),
+    "--two-j": _size_st(MAX_MATRIX_DIM),
+    "--max-two-j": _size_st(MAX_MATRIX_DIM),
+    "--max-n": _size_st(MAX_N + 1),
+}
+
+
+@st.composite
+def cli_case_st(draw):
+    command = draw(st.sampled_from(sorted(CLI_SURFACE)))
+    stray = draw(st.integers(0, 3)) == 0  # now and then pass size flags the command lacks
+    case = {
+        "command": command,
+        "fmt": draw(st.one_of(st.none(), st.sampled_from(["json", "csv", "text"]))),
+        "nus": draw(st.lists(st.sampled_from(["0.25", "nan", "inf", "-inf", "-0.5"]), max_size=2)),
+    }
+    for flag, strategy in SIZE_ST.items():
+        case[flag] = draw(strategy) if stray or flag in CLI_SURFACE[command][1] else None
+    return case
+
+
+def _breaks_a_rule(case):
+    """The argparse and RunConfig rules, restated independently of cli.py."""
+    command = case["command"]
+    formats, flags = CLI_SURFACE[command]
+    sizes = {flag: case[flag] for flag in ("--dims", "--dim", "--two-j", "--max-two-j", "--max-n")}
+    given_flags = {flag for flag, value in sizes.items() if value is not None}
+    if case["fmt"] not in (None, *formats) or not given_flags <= flags:
+        return True
+    if "--two-j" in flags and sizes["--two-j"] is None:
+        return True  # required
+    fmt = case["fmt"] or formats[0]
+    nus = [float(v) for v in case["nus"]]
+    if any(not math.isfinite(nu) or nu <= -0.5 for nu in nus):
+        return True
+    if (fmt == "csv" and len(nus) != 1) or (fmt != "csv" and nus):
+        return True
+    max_n, dims = sizes["--max-n"], sizes["--dims"]
+    if max_n is not None and not (2 if command in ("realizations", "verify") else 0) <= max_n <= MAX_N:
+        return True
+    if dims is not None and (min(dims) < 2 or dims[0] * dims[1] > MAX_MATRIX_DIM):
+        return True
+    if sizes["--dim"] is not None and not 2 <= sizes["--dim"] <= MAX_MATRIX_DIM:
+        return True
+    for flag in ("--two-j", "--max-two-j"):
+        if sizes[flag] is not None and not 1 <= sizes[flag] < MAX_MATRIX_DIM:
+            return True
+    return False
+
+
+def _cli_case(command, **sizes):
+    case = {"command": command, "fmt": None, "nus": []}
+    case.update({flag: sizes.get(flag.strip("-").replace("-", "_")) for flag in SIZE_ST})
+    return case
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_case_st())
+@example(_cli_case("verify", dims=(2, 2), max_two_j=1, max_n=1))
+@example(_cli_case("spin-rep", two_j=0))
+def test_cli_argument_space(case):
+    argv = [case["command"]]
+    if case["fmt"] is not None:
+        argv += ["--format", case["fmt"]]
+    argv += [f"--nu={value}" for value in case["nus"]]
+    for flag in ("--dim", "--two-j", "--max-two-j", "--max-n"):
+        if case[flag] is not None:
+            argv += [flag, str(case[flag])]
+    if case["--dims"] is not None:
+        argv += ["--dims", *map(str, case["--dims"])]
+    built = []
+    init = OperatorMatrix.__init__
+
+    def recording_init(self, basis, rows):
+        built.append(len(basis))
+        init(self, basis, rows)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(OperatorMatrix, "__init__", recording_init):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert max(built, default=0) <= MAX_MATRIX_DIM
+    if _breaks_a_rule(case):
+        assert code == 2
+        assert err.getvalue().startswith(("error: ", "usage: "))
+        assert out.getvalue() == "" and built == []  # rejected before any work
+    else:
+        assert code in (0, 1) and err.getvalue() == ""

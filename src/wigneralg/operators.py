@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Se
 
 from .errors import DimensionMismatchError
 from .reports import AlgebraReport, CheckMode, Verdict, Witness
-from .scalars import RadicalSum, numeric_eval, radical_values_equal
+from .scalars import R_ZERO, RadicalSum, numeric_eval, radical_values_equal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,33 +90,49 @@ def spin_basis(two_j: int) -> Tuple[SpinLabel, ...]:
 ########################################################################
 
 
+class _KernelRows(tuple):
+    """Rows an operation below built from canonical operands: trusted by the constructor."""
+
+    __slots__ = ()
+
+
 class OperatorMatrix:
     """Square matrix on a labeled basis, stored as its nonzero entries.
 
     Row ``i`` is a tuple of ``(column, value)`` pairs with strictly increasing
     columns and no zero value, so the stored form is canonical and equality
-    and hashing compare it directly.  Every operation builds its result
-    through the constructor, which validates that form.
+    and hashing compare it directly.
+
+    The constructor validates that form, and the basis, for rows from
+    outside (the public constructor, ``from_entries``, deserialization).
+    The operations of this module (``@``, ``+``, ``-``, ``scale``,
+    ``adjoint``, ``tensor``) keep the form by construction from canonical
+    operands on a validated basis, so they pass their rows as
+    ``_KernelRows`` and the constructor stores them without re-checking.
     """
 
     __slots__ = ("dim", "basis", "_rows")
 
     def __init__(self, basis: Sequence[BasisLabel], rows: Sequence[Sequence[Tuple[int, RadicalSum]]]):
-        basis = tuple(basis)
-        dim = len(basis)
-        if len(set(basis)) != dim:
-            raise ValueError("basis labels must be pairwise distinct")
-        rows = tuple(tuple(map(tuple, row)) for row in rows)
-        if len(rows) != dim:
-            raise ValueError("need exactly one row per basis label")
-        for row in rows:
-            last = -1
-            for j, value in row:
-                if not last < j < dim:
-                    raise ValueError("row columns must be in range and strictly increasing")
-                if not value.terms:
-                    raise ValueError("rows must not store zero values")
-                last = j
+        if type(rows) is _KernelRows:
+            dim = len(basis)
+            rows = tuple(rows)  # a plain tuple, so row_nonzeros() is never trusted input
+        else:
+            basis = tuple(basis)
+            dim = len(basis)
+            if len(set(basis)) != dim:
+                raise ValueError("basis labels must be pairwise distinct")
+            rows = tuple(tuple(map(tuple, row)) for row in rows)
+            if len(rows) != dim:
+                raise ValueError("need exactly one row per basis label")
+            for row in rows:
+                last = -1
+                for j, value in row:
+                    if not last < j < dim:
+                        raise ValueError("row columns must be in range and strictly increasing")
+                    if not value.terms:
+                        raise ValueError("rows must not store zero values")
+                    last = j
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_rows", rows)
@@ -170,34 +186,42 @@ class OperatorMatrix:
         return self._rows
 
     def _require_same_space(self, other: "OperatorMatrix") -> None:
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise DimensionMismatchError("operators act on different labeled spaces")
 
-    def _merge(self, other: "OperatorMatrix", combine) -> "OperatorMatrix":
-        """Row-by-row merge: combine(self_value, other_value) where other has an entry."""
+    def _merge(self, other: "OperatorMatrix", combine, cancels: bool) -> "OperatorMatrix":
+        """Row-by-row merge: combine(self_value, other_value) where other has an entry.
+
+        With ``cancels`` (subtraction), equal canonical rows merge to an empty row.
+        """
         self._require_same_space(other)
-        zero = RadicalSum.zero()
         rows = []
         for self_row, other_row in zip(self._rows, other._rows):
-            acc = dict(self_row)
-            for j, value in other_row:
-                acc[j] = combine(acc.get(j, zero), value)
-            rows.append(sorted((j, v) for j, v in acc.items() if v.terms))
-        return OperatorMatrix(self.basis, rows)
+            if not other_row:
+                rows.append(self_row)
+            elif cancels and self_row == other_row:
+                rows.append(())
+            else:
+                acc = dict(self_row)
+                for j, value in other_row:
+                    acc[j] = combine(acc.get(j, R_ZERO), value)
+                rows.append(tuple([(j, v) for j, v in sorted(acc.items()) if v.terms]))
+        return OperatorMatrix(self.basis, _KernelRows(rows))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._merge(other, lambda a, b: a + b)
+        return self._merge(other, RadicalSum.__add__, False)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._merge(other, lambda a, b: a - b)
+        return self._merge(other, RadicalSum.__sub__, True)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, [[(j, -v) for j, v in row] for row in self._rows])
+        rows = (tuple([(j, -v) for j, v in row]) for row in self._rows)
+        return OperatorMatrix(self.basis, _KernelRows(rows))
 
     def scale(self, factor) -> "OperatorMatrix":
         factor = RadicalSum.coerce(factor)
-        rows = [[(j, p) for j, v in row if (p := factor * v).terms] for row in self._rows]
-        return OperatorMatrix(self.basis, rows)
+        rows = (tuple([(j, p) for j, v in row if (p := factor * v).terms]) for row in self._rows)
+        return OperatorMatrix(self.basis, _KernelRows(rows))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_space(other)
@@ -212,15 +236,15 @@ class OperatorMatrix:
                         acc[j] = acc[j] + prod
                     else:
                         acc[j] = prod
-            rows.append(sorted((j, v) for j, v in acc.items() if v.terms))
-        return OperatorMatrix(self.basis, rows)
+            rows.append(tuple([(j, v) for j, v in sorted(acc.items()) if v.terms]))
+        return OperatorMatrix(self.basis, _KernelRows(rows))
 
     def adjoint(self) -> "OperatorMatrix":
         rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
         for i, row in enumerate(self._rows):
             for j, value in row:
                 rows[j].append((i, value.conjugate()))
-        return OperatorMatrix(self.basis, rows)
+        return OperatorMatrix(self.basis, _KernelRows(map(tuple, rows)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorMatrix):
@@ -268,8 +292,9 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
                     value = va * vb
                     if value.terms:
                         row.append((j1 * d2 + j2, value))
-            rows.append(row)
-    return OperatorMatrix(basis, rows)
+            rows.append(tuple(row))
+    # distinct Fock labels give distinct two-mode labels
+    return OperatorMatrix(basis, _KernelRows(rows))
 
 
 ########################################################################
@@ -298,7 +323,7 @@ def check_relation(
     per the radicand-merge fallback; the report then carries a caveat and the
     observed residual instead of claiming exactness.
     """
-    if lhs.basis != rhs.basis:
+    if lhs.basis is not rhs.basis and lhs.basis != rhs.basis:
         raise DimensionMismatchError("relation sides act on different labeled spaces")
     rows = range(lhs.dim) if mask is None else sorted(mask)
     lhs_nz = lhs.row_nonzeros()
@@ -307,6 +332,8 @@ def check_relation(
     worst = 0.0
     fallback = False
     for i in rows:
+        if lhs_nz[i] == rhs_nz[i]:  # canonical rows: equal entry by entry
+            continue
         lrow = dict(lhs_nz[i])
         rrow = dict(rhs_nz[i])
         for j in sorted(lrow.keys() | rrow.keys()):

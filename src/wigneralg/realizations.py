@@ -19,6 +19,7 @@ that rely on it say so.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -132,10 +133,12 @@ class BiPolynomial:
         """Exact substitution x -> x + h, by synthetic division (Horner's Taylor shift)."""
         rows = list(self.rows)
         if h:
+            # the callers shift by +1 and -1: add or subtract without multiplying
+            step = operator.add if h == 1 else operator.sub if h == -1 else lambda p, q: p + q * h
             top = len(rows) - 1
             for i in range(top):
                 for j in range(top - 1, i - 1, -1):
-                    rows[j] = rows[j] + rows[j + 1] * h
+                    rows[j] = step(rows[j], rows[j + 1])
         return BiPolynomial(rows)
 
     def flip_delta(self) -> "BiPolynomial":

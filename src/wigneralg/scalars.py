@@ -303,32 +303,12 @@ class NuPolynomial:
         return GaussianRational(Fraction(self.re[k], self.den), im)
 
     def __add__(self, other) -> "NuPolynomial":
-        if not isinstance(other, NuPolynomial):
-            other = NuPolynomial.coerce(other)
-        if not self.re:
-            return other
-        if not other.re:
-            return self
-        den, d2 = self.den, other.den
-        f1 = f2 = 1
-        if den != d2:
-            g = math.gcd(den, d2)
-            f1, f2 = d2 // g, den // g
-            den *= f1
-        re = _scaled_sum(self.re, f1, other.re, f2)
-        im = []
-        if self.im or other.im:
-            im = _scaled_sum(self.im, f1, other.im, f2)
-            im += [0] * (len(re) - len(im))
-        return _stripped(re, im, den)
+        return _signed_sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "NuPolynomial":
-        other = NuPolynomial.coerce(other)
-        if not other.re:
-            return self
-        return self + (-other)
+        return _signed_sum(self, other, -1)
 
     def __rsub__(self, other) -> "NuPolynomial":
         return NuPolynomial.coerce(other) - self
@@ -336,7 +316,8 @@ class NuPolynomial:
     def __neg__(self) -> "NuPolynomial":
         if not self.re:
             return self
-        return _poly(tuple(-v for v in self.re), tuple(-v for v in self.im), self.den)
+        im = self.im
+        return _poly(tuple([-v for v in self.re]), tuple([-v for v in im]) if im else im, self.den)
 
     def __mul__(self, other) -> "NuPolynomial":
         if not isinstance(other, NuPolynomial):
@@ -409,6 +390,28 @@ class NuPolynomial:
         )
 
 
+def _signed_sum(p: NuPolynomial, q, sign: int) -> NuPolynomial:
+    """p + sign*q for sign 1 or -1, in one pass over the numerators."""
+    if not isinstance(q, NuPolynomial):
+        q = NuPolynomial.coerce(q)
+    if not q.re:
+        return p
+    if not p.re:
+        return q if sign == 1 else -q
+    den, d2 = p.den, q.den
+    f1, f2 = 1, sign
+    if den != d2:
+        g = math.gcd(den, d2)
+        f1, f2 = d2 // g, sign * (den // g)
+        den *= f1
+    re = _scaled_sum(p.re, f1, q.re, f2)
+    im = []
+    if p.im or q.im:
+        im = _scaled_sum(p.im, f1, q.im, f2)
+        im += [0] * (len(re) - len(im))
+    return _stripped(re, im, den)
+
+
 def _scaled_sum(a: Tuple[int, ...], fa: int, b: Tuple[int, ...], fb: int) -> list:
     """a*fa + b*fb coefficientwise, as long as the longer of a and b."""
     if len(a) < len(b):
@@ -430,6 +433,7 @@ P_ZERO = _poly((), (), 1)
 P_ONE = _poly((1,), (), 1)
 P_NU = _poly((0, 1), (), 1)
 P_TWO_NU = _poly((0, 2), (), 1)
+P_I = _poly((0,), (1,), 1)
 
 
 def deformed_number(n: int) -> NuPolynomial:
@@ -521,6 +525,18 @@ def _sorted_terms(merged: dict) -> Tuple[Term, ...]:
 
 def _is_one(p: NuPolynomial) -> bool:
     return p.den == 1 and p.re == (1,) and not p.im
+
+
+def _unit_sign(terms: Tuple[Term, ...]) -> int:
+    """1 or -1 when ``terms`` is the radical sum 1 or -1, otherwise 0."""
+    if len(terms) == 1:
+        coeff, rad = terms[0]
+        if rad.re == (1,) and rad.den == 1 and not rad.im and coeff.den == 1 and not coeff.im:
+            if coeff.re == (1,):
+                return 1
+            if coeff.re == (-1,):
+                return -1
+    return 0
 
 
 def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPolynomial) -> Term:
@@ -623,9 +639,16 @@ class RadicalSum:
     __radd__ = __add__
 
     def __sub__(self, other) -> "RadicalSum":
-        other = RadicalSum.coerce(other)
-        if other.is_zero:
+        if not isinstance(other, RadicalSum):
+            other = RadicalSum.coerce(other)
+        t1, t2 = self.terms, other.terms
+        if not t2:
             return self
+        if t1 == t2:
+            return R_ZERO
+        if len(t1) == 1 and len(t2) == 1 and t1[0][1] == t2[0][1]:
+            coeff = t1[0][0] - t2[0][0]
+            return RadicalSum(((coeff, t1[0][1]),)) if coeff.re else R_ZERO
         return self + (-other)
 
     def __rsub__(self, other) -> "RadicalSum":
@@ -634,7 +657,7 @@ class RadicalSum:
     def __neg__(self) -> "RadicalSum":
         if not self.terms:
             return self
-        return RadicalSum(tuple((-c, r) for c, r in self.terms))
+        return RadicalSum(tuple([(-c, r) for c, r in self.terms]))
 
     def __mul__(self, other) -> "RadicalSum":
         if not isinstance(other, RadicalSum):
@@ -642,6 +665,12 @@ class RadicalSum:
         t1, t2 = self.terms, other.terms
         if not t1 or not t2:
             return R_ZERO
+        sign = _unit_sign(t1)
+        if sign:
+            return other if sign == 1 else -other
+        sign = _unit_sign(t2)
+        if sign:
+            return self if sign == 1 else -self
         if len(t1) == 1 and len(t2) == 1:
             coeff, rad = _term_product(*t1[0], *t2[0])
             return RadicalSum(((coeff, rad),)) if coeff.re else R_ZERO

@@ -44,10 +44,9 @@ from .operators import (
 )
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import (
-    GR_I,
-    GaussianRational,
     HALF,
     NuPolynomial,
+    P_I,
     P_NU,
     P_TWO_NU,
     RadicalSum,
@@ -422,7 +421,7 @@ def audit_hp(rep: HPRep) -> List[AlgebraReport]:
 def build_so_nu3(two_j: int) -> SoNu3Rep:
     """L_z = J0, L_x = (J+ + J-)/2, L_y = (i/2)(J- - J+)."""
     js = build_js_spin_rep(two_j)
-    half_i = GaussianRational(Fraction(0), HALF)
+    half_i = P_I * HALF
     return SoNu3Rep(
         two_j=two_j,
         l_x=(js.j_plus + js.j_minus).scale(HALF),
@@ -457,15 +456,15 @@ def _so3_bracket_rhs(rep: SoNu3Rep) -> OperatorMatrix:
         rep.l_z
         + rep.p_op.scale(P_NU)
         + rep.k_op.scale(P_NU * NuPolynomial.from_coeffs([1, 2]))
-    ).scale(GR_I)
+    ).scale(P_I)
 
 
 def so_nu3_relation_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     zero = OperatorMatrix.zeros(rep.basis)
-    i2 = GaussianRational(Fraction(0), Fraction(2))
+    i2 = P_I * 2
     return [
-        RelationSpec("[Lz,Lx] = i Ly", commutator(rep.l_z, rep.l_x), rep.l_y.scale(GR_I)),
-        RelationSpec("[Lz,Ly] = -i Lx", commutator(rep.l_z, rep.l_y), rep.l_x.scale(-GR_I)),
+        RelationSpec("[Lz,Lx] = i Ly", commutator(rep.l_z, rep.l_x), rep.l_y.scale(P_I)),
+        RelationSpec("[Lz,Ly] = -i Lx", commutator(rep.l_z, rep.l_y), rep.l_x.scale(-P_I)),
         RelationSpec(SO3_BRACKET_ID, commutator(rep.l_x, rep.l_y), _so3_bracket_rhs(rep)),
         RelationSpec("[K,Q] = 0 (so3)", commutator(rep.k_op, rep.q_op), zero),
         RelationSpec("[K,P] = 0 (so3)", commutator(rep.k_op, rep.p_op), zero),
@@ -494,9 +493,9 @@ def so_nu3_condensed_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     bracket = commutator(rep.l_x, rep.l_y)
     if rep.two_j % 2 == 1:
         coeff = P_NU * NuPolynomial.from_coeffs([rep.two_j + 1, 2])
-        rhs = (rep.l_z + rep.r_l.scale(coeff)).scale(GR_I)
+        rhs = (rep.l_z + rep.r_l.scale(coeff)).scale(P_I)
         return [RelationSpec(SO3_ODD_BRACKET_ID, bracket, rhs)]
-    rhs = (rep.l_z @ (OperatorMatrix.identity(rep.basis) + rep.r_l.scale(P_TWO_NU))).scale(GR_I)
+    rhs = (rep.l_z @ (OperatorMatrix.identity(rep.basis) + rep.r_l.scale(P_TWO_NU))).scale(P_I)
     return [RelationSpec(SO3_EVEN_BRACKET_ID, bracket, rhs)]
 
 

@@ -175,25 +175,50 @@ def test_sparse_operations_match_dense_reference(data):
     da = _cells(data, dim)
     db = _cells(data, dim, like=da)
     dc = _cells(data, dim2)
-    factor = data.draw(cell_st, label="factor")
+    # unit factors take the scalar short-cut
+    units = st.sampled_from([RadicalSum.one(), -RadicalSum.one()])
+    factor = data.draw(st.one_of(cell_st, units), label="factor")
     a, b, c = _from_dense(basis, da), _from_dense(basis, db), _from_dense(fock_basis(dim2), dc)
     span = range(dim)
     _assert_matches_dense(a, da)
-    _assert_matches_dense(a @ b, [[sum((da[i][k] * db[k][j] for k in span), RadicalSum.zero()) for j in span] for i in span])
-    _assert_matches_dense(a + b, [[da[i][j] + db[i][j] for j in span] for i in span])
-    _assert_matches_dense(a - b, [[da[i][j] - db[i][j] for j in span] for i in span])
-    _assert_matches_dense(-a, [[-da[i][j] for j in span] for i in span])
-    _assert_matches_dense(a.scale(factor), [[factor * da[i][j] for j in span] for i in span])
-    _assert_matches_dense(a.scale(0), [[RadicalSum.zero()] * dim for _ in span])
-    _assert_matches_dense(a.adjoint(), [[da[j][i].conjugate() for j in span] for i in span])
-    _assert_matches_dense(
-        tensor(a, c),
-        [
-            [da[i1][j1] * dc[i2][j2] for j1 in span for j2 in range(dim2)]
-            for i1 in span
-            for i2 in range(dim2)
-        ],
-    )
+
+    def dense_product(x, y):
+        return [[sum((x[i][k] * y[k][j] for k in span), RadicalSum.zero()) for j in span] for i in span]
+
+    product, reverse = dense_product(da, db), dense_product(db, da)
+    # a @ flip accumulates each row against column order; ones @ paired sums
+    # rows v and -v, so its entries cancel to zero
+    one, zero = RadicalSum.one(), RadicalSum.zero()
+    flip = [[one if i + j == dim - 1 else zero for j in span] for i in span]
+    ones = [[one] * dim for _ in span]
+    paired = [da[i] if i % 2 == 0 else [-v for v in da[i - 1]] for i in span]
+    results = [
+        (a @ b, product),
+        (a @ _from_dense(basis, flip), dense_product(da, flip)),
+        (_from_dense(basis, ones) @ _from_dense(basis, paired), dense_product(ones, paired)),
+        (a + b, [[da[i][j] + db[i][j] for j in span] for i in span]),
+        (a - b, [[da[i][j] - db[i][j] for j in span] for i in span]),
+        (a - a, [[zero] * dim for _ in span]),
+        (-a, [[-da[i][j] for j in span] for i in span]),
+        (a.scale(factor), [[factor * da[i][j] for j in span] for i in span]),
+        (a.scale(0), [[RadicalSum.zero()] * dim for _ in span]),
+        (a.adjoint(), [[da[j][i].conjugate() for j in span] for i in span]),
+        (
+            tensor(a, c),
+            [
+                [da[i1][j1] * dc[i2][j2] for j1 in span for j2 in range(dim2)]
+                for i1 in span
+                for i2 in range(dim2)
+            ],
+        ),
+        (commutator(a, b), [[product[i][j] - reverse[i][j] for j in span] for i in span]),
+        (anticommutator(a, b), [[product[i][j] + reverse[i][j] for j in span] for i in span]),
+    ]
+    for matrix, dense in results:
+        _assert_matches_dense(matrix, dense)
+        # the operations skip the constructor's checks: their rows must pass them anyway
+        rebuilt = OperatorMatrix(matrix.basis, [list(row) for row in matrix.row_nonzeros()])
+        assert rebuilt == matrix and hash(rebuilt) == hash(matrix)
     assert a - a == OperatorMatrix.zeros(basis)
     assert hash(a + b) == hash(_from_dense(basis, [[da[i][j] + db[i][j] for j in span] for i in span]))
 

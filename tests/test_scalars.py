@@ -14,6 +14,7 @@ from wigneralg.scalars import (
     _canonical_radicand,
     _radicand_sort_key,
     _square_free_split,
+    _term_product,
     check_cross_identity,
     check_pair_identities,
     deformed_factorial,
@@ -191,9 +192,31 @@ def test_radical_canonicalization_idempotent(r):
     assert rebuilt == r
 
 
+def term_product_reference(a, b):
+    """a*b without short-cuts: every pair of terms through _term_product, merged by +."""
+    total = RadicalSum.zero()
+    for c1, r1 in a.terms:
+        for c2, r2 in b.terms:
+            total = total + RadicalSum((_term_product(c1, r1, c2, r2),))
+    return total
+
+
+# two single-term radical sums over one radicand; the coefficients may be equal
+shared_radicand_st = st.builds(
+    lambda c1, c2, same, r: (
+        RadicalSum.from_polynomial(c1) * RadicalSum.sqrt_poly(r),
+        RadicalSum.from_polynomial(c1 if same else c2) * RadicalSum.sqrt_poly(r),
+    ),
+    poly_st,
+    poly_st,
+    st.booleans(),
+    radicand_st,
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(radical_st, radical_st, radical_st)
-def test_radical_ring_axioms(a, b, c):
+@given(radical_st, radical_st, radical_st, shared_radicand_st)
+def test_radical_ring_axioms(a, b, c, shared):
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
@@ -203,6 +226,16 @@ def test_radical_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     status, _ = radical_values_equal((a * b) * c, a * (b * c))
     assert status in ("exact", "numeric")
+    # the short-cuts of - and * agree with the general path
+    x, y = shared
+    for p, q in ((a, b), (a, a), (x, y), (y, x), (x, x)):
+        assert p - q == p + (-q)
+        assert p * q == term_product_reference(p, q)
+    assert (a - a).terms == ()
+    for unit in (RadicalSum.one(), -RadicalSum.one()):
+        for p in (a, x):
+            assert unit * p == p * unit == term_product_reference(unit, p)
+    assert RadicalSum.one() * a == a and -RadicalSum.one() * a == -a
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,6 +390,11 @@ def test_integer_polynomial_matches_gaussian_reference(pair, nu):
         (q, b),
         (p + q, ref_add(a, b)),
         (p - q, ref_add(a, neg_b)),
+        (p - p, []),
+        (p * NuPolynomial.constant(1), ref_mul(a, [GaussianRational(1)])),
+        (p * NuPolynomial.constant(-1), ref_mul(a, [GaussianRational(-1)])),
+        (p - NuPolynomial.constant(1), ref_add(a, [GaussianRational(-1)])),
+        (NuPolynomial.constant(-1) - q, ref_add([GaussianRational(-1)], neg_b)),
         (p * q, ref_mul(a, b)),
         (q * p, ref_mul(a, b)),
         (-q, neg_b),
@@ -365,6 +403,7 @@ def test_integer_polynomial_matches_gaussian_reference(pair, nu):
         assert_matches_reference(value, ref, nu)
     assert (p == q) == (a == b)
     assert (p + q == q) == (not a)
+    assert p - q == p + (-q)
     if a == b:
         assert hash(p) == hash(q)
     rebuilt = NuPolynomial(p.coeffs)

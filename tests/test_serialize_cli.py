@@ -302,6 +302,13 @@ BYTE_PINS = [
      "6b8a15ecac863e9e679966c1cd0d018d5a3f13629c2d8724ef80dba66c187a95"),
     (["realizations", "--max-n", "20"], 0,
      "e45f55ea9810662b6bd3fd4f84b722b9909f3b0009c6efa2411c5296bf9a1435"),
+    # larger operators: products and sums that cancel, unit factors, imaginary scales
+    (["two-mode", "--dims", "20", "20"], 0,
+     "04ca0c99d53300faf129164bd3b81e30020bf3bff1f43a3ce8930f13afd3809c"),
+    (["so3-rep", "--two-j", "9"], 0,
+     "308b7852393a47d0984bd5b48fc232cf9bf2bc6a591d2f58e11eb5c30c0f4bf4"),
+    (["hp-rep", "--two-j", "12"], 0,
+     "52a43a898711938c92544e2953fcdb959f91770bf7d960115cf47dbb1d50f470"),
 ]
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,19 @@ def test_audit_passes_small_grid():
             reports = audit_two_mode(build_two_mode(d1, d2))
             assert all(r.passed for r in reports), (d1, d2)
             assert all(r.verdict is Verdict.PASS for r in reports)
+
+
+def test_audit_verdicts_pinned():
+    # sha256 of every (relation id, verdict, mode, caveat) over dims 2..7 x 2..7:
+    # any change to the operator kernel or the scalars must leave it unchanged
+    rows = [
+        [(r.relation_id, r.verdict.value, r.mode.value, r.caveat) for r in audit_two_mode(build_two_mode(d1, d2))]
+        for d1 in range(2, 8)
+        for d2 in range(2, 8)
+    ]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "44e7926c70d91d3d8e11731eeaaf66a1f1898653f1c22b348292105273810008"
+    )
 
 
 def test_cross_mode_relations_are_exact_zero():

@@ -309,6 +309,13 @@ BYTE_PINS = [
      "308b7852393a47d0984bd5b48fc232cf9bf2bc6a591d2f58e11eb5c30c0f4bf4"),
     (["hp-rep", "--two-j", "12"], 0,
      "52a43a898711938c92544e2953fcdb959f91770bf7d960115cf47dbb1d50f470"),
+    # the full audit (exact sections and numeric grid) and a large CSV export
+    (["verify", "--all", "--format", "json"], 0,
+     "c0082bf63774b8673f153d0b9ebd32574c0d661bbdf791238c8436665505bb4e"),
+    (["verify", "--max-two-j", "5", "--dims", "6", "7", "--max-n", "6"], 0,
+     "e8ed5c995a4dffa9747364407f06f620c8960ee1e1ebb97f381d48a5463a190d"),
+    (["two-mode", "--dims", "17", "17", "--format", "csv", "--nu", "0.5"], 0,
+     "1ca362f206dcd32bc067673eb4bb34dcf685d8875302e03b23b22861ddfe56cc"),
 ]
 
 

@@ -732,14 +732,10 @@ def numeric_eval(value: Union[NuPolynomial, RadicalSum], nu: float) -> complex:
     total = 0j
     for coeff, rad in value.terms:
         r = rad.eval_complex(nu).real
-        den = rad.den
-        scale = sum(abs(v / den) for v in rad.re) * max(1.0, abs(nu)) ** max(
-            rad.degree, 0
-        )
-        if r < -ZERO_TOL * (1.0 + scale):
-            raise NegativeRadicandError(
-                f"radicand {rad} evaluates to {r} at nu={nu}"
-            )
+        if r < 0.0:  # tolerated down to -ZERO_TOL * (1 + a bound on |radicand(nu)|)
+            scale = sum(abs(v / rad.den) for v in rad.re) * max(1.0, abs(nu)) ** max(rad.degree, 0)
+            if r < -ZERO_TOL * (1.0 + scale):
+                raise NegativeRadicandError(f"radicand {rad} evaluates to {r} at nu={nu}")
         total += coeff.eval_complex(nu) * math.sqrt(max(r, 0.0))
     return total
 

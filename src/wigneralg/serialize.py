@@ -102,7 +102,7 @@ def matrix_from_dict(data: dict) -> OperatorMatrix:
             )
             for term in item["terms"]
         )
-        entries[(item["row"], item["col"])] = RadicalSum(terms)
+        entries[(item["row"], item["col"])] = RadicalSum._from_raw(terms)  # canonical, as built
     return OperatorMatrix.from_entries(basis, entries)
 
 
@@ -124,17 +124,15 @@ def csv_rows(matrix: OperatorMatrix, nu: float, prefix: str = "") -> str:
 
     Zero cells are included; every line, the last too, ends in a newline.
     """
+    zero_cells = [f"{j},0,0" for j in range(matrix.dim)]  # format(0.0, ".17g") == "0"
     lines = []
     for i, row in enumerate(matrix.row_nonzeros()):
-        stored = dict(row)
-        for j in range(matrix.dim):
-            if j not in stored:
-                lines.append(f"{prefix}{i},{j},0,0")  # format(0.0, ".17g") == "0"
-                continue
-            value = numeric_eval(stored[j], nu)
-            lines.append(
-                f"{prefix}{i},{j},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
-            )
+        cells = zero_cells.copy()
+        for j, value in row:
+            value = numeric_eval(value, nu)
+            cells[j] = f"{j},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
+        row_prefix = f"{prefix}{i},"
+        lines.append(row_prefix + ("\n" + row_prefix).join(cells))
     lines.append("")
     return "\n".join(lines)
 

@@ -96,19 +96,18 @@ def truncation_defect_report(s: SingleModeSet) -> AlgebraReport:
     relation_id = f"[a,adag] truncation defect at row {s.dim - 1} equals -[{s.dim}]"
     identity = OperatorMatrix.identity(s.a.basis)
     rhs = identity + s.r_op.scale(P_TWO_NU)
-    unmasked = check_relation("[a,adag] = 1 + 2nu R (unmasked)", commutator(s.a, s.a_dag), rhs)
+    bracket = commutator(s.a, s.a_dag)
+    unmasked = check_relation("[a,adag] = 1 + 2nu R (unmasked)", bracket, rhs)
     top = s.dim - 1
     problems = []
     if unmasked.verdict is not Verdict.FAIL:
         problems.append("unmasked check did not fail")
     elif (unmasked.witness.row, unmasked.witness.col) != (top, top):
         problems.append(f"first failure at {unmasked.witness.row},{unmasked.witness.col}")
-    masked = check_relation(
-        "[a,adag] = 1 + 2nu R", commutator(s.a, s.a_dag), rhs, number_mask(s.dim)
-    )
+    masked = check_relation("[a,adag] = 1 + 2nu R", bracket, rhs, number_mask(s.dim))
     if masked.verdict is not Verdict.PASS:
         problems.append("masked rows are not exact")
-    defect = commutator(s.a, s.a_dag).entry(top, top) - rhs.entry(top, top)
+    defect = bracket.entry(top, top) - rhs.entry(top, top)
     expected = RadicalSum.from_polynomial(-deformed_number(s.dim))
     if defect != expected:
         problems.append(f"defect {defect} differs from -[{s.dim}] = {expected}")

@@ -35,10 +35,10 @@ from .operators import (
     OperatorMatrix,
     RelationSpec,
     anticommutator,
+    build_now,
     check_relation,
     check_specs,
     commutator,
-    eval_matrix,
     fock_basis,
     spin_basis,
 )
@@ -51,6 +51,7 @@ from .scalars import (
     P_TWO_NU,
     RadicalSum,
     deformed_number,
+    numeric_eval,
 )
 
 
@@ -142,26 +143,17 @@ def build_js_spin_rep(two_j: int) -> SuNu2Rep:
     )
 
 
-def extract_js_block(s, two_j: int) -> SuNu2Rep:
-    """Restrict the bilinear two-mode generators to the fixed-2j block.
+def js_composites(s) -> Dict[str, OperatorMatrix]:
+    """The bilinear two-mode generators on the ambient space, keyed by name.
 
     J+ = adag1 a2, J- = a1 adag2, J0 = (N1-N2)/2, P = N1 R2 - N2 R1,
-    K = (R2-R1)/2, Q = (R2+R1)/2, built on the ambient space and cut down to
-    span{|j+m, j-m>} reordered by descending m.  Must reproduce
-    :func:`build_js_spin_rep` entrywise.
+    K = (R2-R1)/2, Q = (R2+R1)/2, R_J = R2.
     """
-    if two_j < 1:
-        raise InvalidSpinError("spin representations need 2j >= 1")
-    d1, d2 = s.dims
-    if d1 < two_j + 1 or d2 < two_j + 1:
-        raise DimensionTooSmallError(
-            f"need d1, d2 >= {two_j + 1} to hold the 2j={two_j} block"
-        )
     a1, a2 = s.a
     ad1, ad2 = s.a_dag
     n1, n2 = s.n_op
     r1, r2 = s.r_op
-    composites = {
+    return {
         "J+": ad1 @ a2,
         "J-": a1 @ ad2,
         "J0": (n1 - n2).scale(HALF),
@@ -170,6 +162,25 @@ def extract_js_block(s, two_j: int) -> SuNu2Rep:
         "Q": (r2 + r1).scale(HALF),
         "R_J": r2,
     }
+
+
+def extract_js_block(s, two_j: int) -> SuNu2Rep:
+    """Restrict the bilinear two-mode generators to the fixed-2j block.
+
+    Must reproduce :func:`build_js_spin_rep` entrywise.
+    """
+    return cut_js_block(s, js_composites(s), two_j)
+
+
+def cut_js_block(s, composites: Dict[str, OperatorMatrix], two_j: int) -> SuNu2Rep:
+    """Cut the :func:`js_composites` of ``s`` down to span{|j+m, j-m>}, m descending."""
+    if two_j < 1:
+        raise InvalidSpinError("spin representations need 2j >= 1")
+    d1, d2 = s.dims
+    if d1 < two_j + 1 or d2 < two_j + 1:
+        raise DimensionTooSmallError(
+            f"need d1, d2 >= {two_j + 1} to hold the 2j={two_j} block"
+        )
     # block row i holds |n1, n2> = |2j - i, i>, i.e. m = j - i descending
     block = [(two_j - i) * d2 + i for i in range(two_j + 1)]
     block_set = set(block)
@@ -178,14 +189,13 @@ def extract_js_block(s, two_j: int) -> SuNu2Rep:
     extracted: Dict[str, OperatorMatrix] = {}
     for name, op in composites.items():
         nz = op.row_nonzeros()
-        for col in block_set:
-            for row in range(op.dim):
-                if row in block_set:
-                    continue
-                if any(j == col for j, _ in nz[row]):
-                    raise NonInvariantSubspaceError(
-                        f"{name} maps block column {col} to outside row {row}"
-                    )
+        for row in range(op.dim):
+            if row not in block_set:
+                for col, _ in nz[row]:
+                    if col in block_set:
+                        raise NonInvariantSubspaceError(
+                            f"{name} maps block column {col} to outside row {row}"
+                        )
         entries = {
             (bi, block_index[j]): value
             for bi, gi in enumerate(block)
@@ -254,8 +264,8 @@ def su_nu2_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     ]
 
 
-def audit_su_nu2(rep: SuNu2Rep) -> List[AlgebraReport]:
-    return check_specs(su_nu2_relation_specs(rep))
+def audit_su_nu2(rep: SuNu2Rep, *, build=build_now) -> List[AlgebraReport]:
+    return check_specs(build(su_nu2_relation_specs, rep))
 
 
 def _odd_bracket_rhs(rep: SuNu2Rep, doubled_j: bool) -> OperatorMatrix:
@@ -292,7 +302,7 @@ def condensed_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     ]
 
 
-def audit_condensed_forms(rep: SuNu2Rep) -> List[AlgebraReport]:
+def audit_condensed_forms(rep: SuNu2Rep, *, build=build_now) -> List[AlgebraReport]:
     """Check the condensed identities; the odd bracket carries a caveat.
 
     The printed odd coefficient 2nu(2nu+j+1) fails against the representation
@@ -304,7 +314,7 @@ def audit_condensed_forms(rep: SuNu2Rep) -> List[AlgebraReport]:
     if rep.two_j % 2 == 1:
         printed = _odd_bracket_rhs(rep, doubled_j=False)
         caveats[ODD_BRACKET_ID] = Caveat("printed coefficient 2nu(2nu+j+1) fails", printed)
-    return check_specs(condensed_relation_specs(rep), caveats)
+    return check_specs(build(condensed_relation_specs, rep), caveats)
 
 
 ########################################################################
@@ -384,22 +394,23 @@ def hp_relation_specs(rep: HPRep) -> List[RelationSpec]:
     ]
 
 
-def audit_hp(rep: HPRep) -> List[AlgebraReport]:
+def audit_hp(rep: HPRep, *, build=build_now) -> List[AlgebraReport]:
     """Exact relation checks plus the spectral match with the even-2j block."""
-    import numpy as np
-
-    reports = check_specs(hp_relation_specs(rep))
-    js = build_js_spin_rep(rep.two_j)
+    reports = check_specs(build(hp_relation_specs, rep))
+    js = build(build_js_spin_rep, rep.two_j)
     hp_bracket = commutator(rep.j_plus, rep.j_minus)
     js_bracket = commutator(js.j_plus, js.j_minus)
     worst = 0.0
     ok = True
     for nu in NU_GRID:
-        hp_diag = np.sort_complex(np.diag(eval_matrix(hp_bracket, nu)))
-        js_diag = np.sort_complex(np.diag(eval_matrix(js_bracket, nu)))
-        gap = float(np.max(np.abs(hp_diag - js_diag)))
+        # each numeric diagonal in (real, imag) order, as numpy's sort_complex
+        hp_diag, js_diag = (
+            sorted((numeric_eval(m.entry(i, i), nu) for i in range(m.dim)), key=lambda z: (z.real, z.imag))
+            for m in (hp_bracket, js_bracket)
+        )
+        gap = max(abs(h - j) for h, j in zip(hp_diag, js_diag))
         worst = max(worst, gap)
-        if gap > 1e-12 * (1.0 + float(np.max(np.abs(js_diag)))):
+        if gap > 1e-12 * (1.0 + max(abs(z) for z in js_diag)):
             ok = False
     reports.append(
         AlgebraReport(
@@ -418,9 +429,9 @@ def audit_hp(rep: HPRep) -> List[AlgebraReport]:
 ########################################################################
 
 
-def build_so_nu3(two_j: int) -> SoNu3Rep:
+def build_so_nu3(two_j: int, *, build=build_now) -> SoNu3Rep:
     """L_z = J0, L_x = (J+ + J-)/2, L_y = (i/2)(J- - J+)."""
-    js = build_js_spin_rep(two_j)
+    js = build(build_js_spin_rep, two_j)
     half_i = P_I * HALF
     return SoNu3Rep(
         two_j=two_j,
@@ -499,9 +510,9 @@ def so_nu3_condensed_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     return [RelationSpec(SO3_EVEN_BRACKET_ID, bracket, rhs)]
 
 
-def audit_so_nu3(rep: SoNu3Rep) -> List[AlgebraReport]:
+def audit_so_nu3(rep: SoNu3Rep, *, build=build_now) -> List[AlgebraReport]:
     """Full deformed-so(3) audit; bracket relations carry the i/2 caveat."""
-    return check_specs(so_nu3_relation_specs(rep) + so_nu3_condensed_specs(rep), SO3_CAVEATS)
+    return check_specs(build(so_nu3_relation_specs, rep) + build(so_nu3_condensed_specs, rep), SO3_CAVEATS)
 
 
 ########################################################################
@@ -612,9 +623,9 @@ def reference_matrix_registry() -> List[Tuple[str, OperatorMatrix]]:
 _GENERATED_ATTR = {"J0": "j0", "J+": "j_plus", "J-": "j_minus", "R_J": "r_j"}
 
 
-def reference_matrix_reports() -> List[AlgebraReport]:
+def reference_matrix_reports(*, build=build_now) -> List[AlgebraReport]:
     """Diff every transcribed matrix against the generated representation."""
-    reps = {two_j: build_js_spin_rep(two_j) for two_j in (1, 2, 3, 4)}
+    reps = {two_j: build(build_js_spin_rep, two_j) for two_j in (1, 2, 3, 4)}
     two_j_of = {"j=1/2": 1, "j=1": 2, "j=3/2": 3, "j=2": 4}
     reports = []
     for name, printed in reference_matrix_registry():

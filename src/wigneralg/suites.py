@@ -6,18 +6,13 @@ so a full run reads as one verdict line per identity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import OddTwoJNotClosedError
-from .operators import RelationSpec, check_relation, numeric_relation_report
+from .operators import build_now, check_relation, check_specs, numeric_relation_report
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import check_cross_identity, check_pair_identities
-from .single_mode import (
-    audit_single_mode,
-    build_single_mode,
-    single_mode_relation_specs,
-    truncation_defect_report,
-)
+from .single_mode import build_single_mode, single_mode_relation_specs, truncation_defect_report
 from .two_mode import audit_two_mode, build_two_mode, two_mode_relation_specs
 from .realizations import audit_realizations
 from .spin import (
@@ -29,13 +24,33 @@ from .spin import (
     build_js_spin_rep,
     build_so_nu3,
     condensed_relation_specs,
-    extract_js_block,
+    cut_js_block,
     hp_relation_specs,
+    js_composites,
     reference_matrix_reports,
     so_nu3_condensed_specs,
     so_nu3_relation_specs,
     su_nu2_relation_specs,
 )
+
+
+class RunMemo:
+    """A ``build`` hook that computes ``fn(*args, **hooks)`` once per (fn, args).
+
+    Builders take sizes, keyed by value; spec functions take families, keyed
+    by identity and kept alive with the result, so no identity is reused.
+    Keywords only hand this hook down, so they are not part of the key.
+    """
+
+    def __init__(self) -> None:
+        self._results: Dict[tuple, tuple] = {}
+
+    def __call__(self, fn, *args, **hooks):
+        key = (fn, *(a if type(a) is int else id(a) for a in args))
+        hit = self._results.get(key)
+        if hit is None:
+            hit = self._results[key] = (args, fn(*args, **hooks))
+        return hit[1]
 
 
 def aggregate(relation_id: str, reports: Sequence[AlgebraReport]) -> AlgebraReport:
@@ -85,12 +100,12 @@ def number_suite(max_n: int = 50) -> List[AlgebraReport]:
     ]
 
 
-def single_mode_suite(min_dim: int = 2, max_dim: int = 25) -> List[AlgebraReport]:
+def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, build=build_now) -> List[AlgebraReport]:
     per_dim = []
     defects = []
     for dim in range(min_dim, max_dim + 1):
-        s = build_single_mode(dim)
-        per_dim.append(audit_single_mode(s))
+        s = build(build_single_mode, dim)
+        per_dim.append(check_specs(build(single_mode_relation_specs, s)))
         defects.append(truncation_defect_report(s))
     out = _group_by_suffix(per_dim, f"(dims {min_dim}..{max_dim})")
     out.append(
@@ -106,8 +121,8 @@ def realization_suite(max_n: int = 15) -> List[AlgebraReport]:
     return audit_realizations(max_n)
 
 
-def two_mode_suite(d1: int = 10, d2: int = 10) -> List[AlgebraReport]:
-    return audit_two_mode(build_two_mode(d1, d2))
+def two_mode_suite(d1: int = 10, d2: int = 10, *, build=build_now) -> List[AlgebraReport]:
+    return check_specs(build(two_mode_relation_specs, build(build_two_mode, d1, d2, build=build)))
 
 
 def two_mode_sweep(max_dim: int = 10) -> List[AlgebraReport]:
@@ -119,22 +134,25 @@ def two_mode_sweep(max_dim: int = 10) -> List[AlgebraReport]:
     return _group_by_suffix(per_pair, f"(d1,d2 in 2..{max_dim})")
 
 
-def spin_suite(max_two_j: int = 8) -> List[AlgebraReport]:
-    per_j = [audit_su_nu2(build_js_spin_rep(two_j)) for two_j in range(1, max_two_j + 1)]
-    out = _group_by_suffix(per_j, f"(two_j 1..{max_two_j})")
-    odd = [audit_condensed_forms(build_js_spin_rep(j)) for j in range(1, max_two_j + 1, 2)]
-    even = [audit_condensed_forms(build_js_spin_rep(j)) for j in range(2, max_two_j + 1, 2)]
+def spin_suite(max_two_j: int = 8, *, build=build_now) -> List[AlgebraReport]:
+    reps = {two_j: build(build_js_spin_rep, two_j) for two_j in range(1, max_two_j + 1)}
+    out = _group_by_suffix([audit_su_nu2(r, build=build) for r in reps.values()], f"(two_j 1..{max_two_j})")
+    odd = [audit_condensed_forms(reps[j], build=build) for j in range(1, max_two_j + 1, 2)]
+    even = [audit_condensed_forms(reps[j], build=build) for j in range(2, max_two_j + 1, 2)]
     out.extend(_group_by_suffix(odd, f"(odd two_j <= {max_two_j})"))
     out.extend(_group_by_suffix(even, f"(even two_j <= {max_two_j})"))
     return out
 
 
-def block_extraction_suite(max_two_j: int = 8, d1: int = 10, d2: int = 10) -> List[AlgebraReport]:
-    ambient = build_two_mode(d1, d2)
+def block_extraction_suite(
+    max_two_j: int = 8, d1: int = 10, d2: int = 10, *, build=build_now
+) -> List[AlgebraReport]:
+    ambient = build(build_two_mode, d1, d2, build=build)
+    composites = js_composites(ambient)
     reports = []
     for two_j in range(1, min(max_two_j, d1 - 1, d2 - 1) + 1):
-        extracted = extract_js_block(ambient, two_j)
-        closed = build_js_spin_rep(two_j)
+        extracted = cut_js_block(ambient, composites, two_j)
+        closed = build(build_js_spin_rep, two_j)
         for name in ("j_plus", "j_minus", "j0", "p_op", "k_op", "q_op", "r_j"):
             reports.append(
                 check_relation(
@@ -151,8 +169,10 @@ def block_extraction_suite(max_two_j: int = 8, d1: int = 10, d2: int = 10) -> Li
     ]
 
 
-def hp_suite(even_two_j: Sequence[int] = (2, 4, 6, 8), odd_two_j: Sequence[int] = (1, 3)) -> List[AlgebraReport]:
-    per_j = [audit_hp(build_hp_rep(two_j)) for two_j in even_two_j]
+def hp_suite(
+    even_two_j: Sequence[int] = (2, 4, 6, 8), odd_two_j: Sequence[int] = (1, 3), *, build=build_now
+) -> List[AlgebraReport]:
+    per_j = [audit_hp(build(build_hp_rep, two_j), build=build) for two_j in even_two_j]
     out = _group_by_suffix(per_j, f"(even two_j in {tuple(even_two_j)})")
     refusals = []
     for two_j in odd_two_j:
@@ -170,38 +190,44 @@ def hp_suite(even_two_j: Sequence[int] = (2, 4, 6, 8), odd_two_j: Sequence[int] 
     return out + refusals
 
 
-def so3_suite(max_two_j: int = 6) -> List[AlgebraReport]:
-    per_j = [audit_so_nu3(build_so_nu3(two_j)) for two_j in range(1, max_two_j + 1)]
+def so3_suite(max_two_j: int = 6, *, build=build_now) -> List[AlgebraReport]:
+    per_j = [
+        audit_so_nu3(build(build_so_nu3, two_j, build=build), build=build)
+        for two_j in range(1, max_two_j + 1)
+    ]
     # odd and even parities carry different condensed ids, so group as a whole
     return _group_by_suffix(per_j, f"(two_j 1..{max_two_j})")
 
 
-def reference_suite() -> List[AlgebraReport]:
-    return reference_matrix_reports()
+def reference_suite(*, build=build_now) -> List[AlgebraReport]:
+    return reference_matrix_reports(build=build)
 
 
-def numeric_suite(max_two_j: int = 8, dims=(10, 10), single_dim: int = 12) -> List[AlgebraReport]:
-    """Grid-sampled residual checks mirroring the exact audits.
+def numeric_suite(
+    max_two_j: int = 8, dims=(10, 10), single_dim: int = 12, *, build=build_now
+) -> List[AlgebraReport]:
+    """Grid-sampled residual checks on the specs the exact audits check.
 
-    Each family's specs are evaluated as soon as they are built, so only one
-    family's matrices are alive at a time.
+    Every family's specs stay alive until the grid is done; under
+    :func:`verify_all` they are the very spec lists its exact sections checked.
     """
-
-    def families() -> Iterator[List[RelationSpec]]:
-        yield single_mode_relation_specs(build_single_mode(single_dim))
-        yield two_mode_relation_specs(build_two_mode(*dims))
-        for two_j in sorted({max(1, max_two_j - 1), max_two_j}):
-            rep = build_js_spin_rep(two_j)
-            yield su_nu2_relation_specs(rep)
-            yield condensed_relation_specs(rep)
-            so3 = build_so_nu3(two_j)
-            yield so_nu3_relation_specs(so3)
-            yield so_nu3_condensed_specs(so3)
-        even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
-        if even >= 2:
-            yield hp_relation_specs(build_hp_rep(even))
-
-    return [numeric_relation_report(spec) for specs in families() for spec in specs]
+    families = [
+        build(single_mode_relation_specs, build(build_single_mode, single_dim)),
+        build(two_mode_relation_specs, build(build_two_mode, *dims, build=build)),
+    ]
+    for two_j in sorted({max(1, max_two_j - 1), max_two_j}):
+        rep = build(build_js_spin_rep, two_j)
+        so3 = build(build_so_nu3, two_j, build=build)
+        families += [
+            build(su_nu2_relation_specs, rep),
+            build(condensed_relation_specs, rep),
+            build(so_nu3_relation_specs, so3),
+            build(so_nu3_condensed_specs, so3),
+        ]
+    even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
+    if even >= 2:
+        families.append(build(hp_relation_specs, build(build_hp_rep, even)))
+    return [numeric_relation_report(spec) for specs in families for spec in specs]
 
 
 def verify_all(
@@ -211,18 +237,22 @@ def verify_all(
     max_number: int = 50,
     max_single_dim: int = 25,
 ) -> Dict[str, List[AlgebraReport]]:
-    """Every audited relation family, grouped by section, deterministic order."""
+    """Every audited relation family, grouped by section, deterministic order.
+
+    One :class:`RunMemo` builds each family and spec list once for all sections.
+    """
+    build = RunMemo()
     return {
         "deformed-numbers": number_suite(max_number),
-        "single-mode": single_mode_suite(2, max_single_dim),
+        "single-mode": single_mode_suite(2, max_single_dim, build=build),
         "coordinate-realizations": realization_suite(max_n),
-        "two-mode": two_mode_suite(*dims),
-        "su_nu2": spin_suite(max_two_j),
-        "block-extraction": block_extraction_suite(max_two_j, *dims),
-        "reference-matrices": reference_suite(),
+        "two-mode": two_mode_suite(*dims, build=build),
+        "su_nu2": spin_suite(max_two_j, build=build),
+        "block-extraction": block_extraction_suite(max_two_j, *dims, build=build),
+        "reference-matrices": reference_suite(build=build),
         "holstein-primakoff": hp_suite(
-            tuple(j for j in range(2, max_two_j + 1, 2)), (1, 3)
+            tuple(j for j in range(2, max_two_j + 1, 2)), (1, 3), build=build
         ),
-        "so_nu3": so3_suite(min(max_two_j, 6)),
-        "numeric-grid": numeric_suite(max_two_j, dims),
+        "so_nu3": so3_suite(min(max_two_j, 6), build=build),
+        "numeric-grid": numeric_suite(max_two_j, dims, build=build),
     }

@@ -15,6 +15,7 @@ from .operators import (
     OperatorMatrix,
     RelationSpec,
     anticommutator,
+    build_now,
     check_specs,
     commutator,
     tensor,
@@ -37,12 +38,12 @@ class TwoModeSet:
         return self.a[0].basis
 
 
-def build_two_mode(d1: int, d2: int) -> TwoModeSet:
+def build_two_mode(d1: int, d2: int, *, build=build_now) -> TwoModeSet:
     """a1 = a (x) I, a2 = I (x) a, and likewise for N and R; row-major in (n1, n2)."""
     if d1 < 2 or d2 < 2:
         raise InvalidDimensionError("two-mode truncation needs d1, d2 >= 2")
-    m1 = build_single_mode(d1)
-    m2 = build_single_mode(d2)
+    m1 = build(build_single_mode, d1)
+    m2 = build(build_single_mode, d2)
     i1 = OperatorMatrix.identity(m1.a.basis)
     i2 = OperatorMatrix.identity(m2.a.basis)
     return TwoModeSet(

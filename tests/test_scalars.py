@@ -260,6 +260,11 @@ def test_numeric_eval_negative_radicand():
     r = RadicalSum.sqrt_poly(poly(0, 1))  # sqrt(nu)
     with pytest.raises(NegativeRadicandError):
         numeric_eval(r, -0.25)
+    # rounding-size negatives (tolerance 1e-12 * (1 + 1) here) evaluate as 0
+    assert numeric_eval(r, -1e-14) == 0
+    assert numeric_eval(r * RadicalSum.from_polynomial(poly(3)) + RadicalSum.one(), -1.5e-12) == 1
+    with pytest.raises(NegativeRadicandError):
+        numeric_eval(r, -3e-12)
 
 
 def test_fallback_comparator_detects_unmerged_zero():

@@ -67,6 +67,23 @@ def test_matrix_roundtrip_polynomial_coefficients():
     assert matrix_from_dict(json.loads(dumps(matrix_to_dict(m)))) == m
 
 
+def test_matrix_from_dict_canonicalizes_hand_written_entries():
+    def term(coeff, radicand):
+        return {"coeff": [{"re": [coeff, 1], "im": [0, 1]}], "radicand": [[radicand, 1]]}
+
+    def one_entry(*terms):
+        data = {"dim": 1, "basis": ["fock(0)"], "entries": [{"row": 0, "col": 0, "terms": list(terms)}]}
+        return matrix_from_dict(data)
+
+    basis = fock_basis(1)
+    two = OperatorMatrix.from_entries(basis, {(0, 0): RadicalSum.sqrt_poly(4)})
+    assert one_entry(term(1, 4)) == two  # 1*sqrt(4) reads back as 2
+    assert one_entry(term(1, 1), term(1, 1)) == two  # like radicands merge
+    three_root_two = OperatorMatrix.from_entries(basis, {(0, 0): RadicalSum.sqrt_poly(18)})
+    assert one_entry(term(1, 2), term(1, 8)) == three_root_two  # sqrt(2) + 2*sqrt(2)
+    assert one_entry(term(1, 4), term(-2, 1)) == OperatorMatrix.zeros(basis)  # cancels to no entry
+
+
 def test_csv_numeric_export():
     s = build_single_mode(3)
     text = matrix_to_csv(s.a, 0.5)
@@ -343,8 +360,16 @@ def test_csv_export_bytes_pinned_through_output_file(tmp_path):
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy is imported only by the numeric checks, not at start-up
-    code = "import sys, wigneralg.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    # numpy serves eval_matrix only: neither start-up nor the audits (exact
+    # sections, numeric grid, HP spectral check) import it
+    code = (
+        "import contextlib, io, sys, wigneralg.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['verify', '--all', '--max-two-j', '2', '--dims', '4', '4', '--max-n', '4']) == 0\n"
+        "    assert cli.run(['hp-rep', '--two-j', '4']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported by verify or hp-rep'\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -18,6 +18,7 @@ from wigneralg.scalars import (
     deformed_number,
 )
 from wigneralg.spin import (
+    HPRep,
     audit_condensed_forms,
     audit_hp,
     audit_so_nu3,
@@ -230,9 +231,21 @@ def test_hp_commutator_eigenvalue_example():
 
 
 def test_hp_audit_passes():
+    def relabel(op, shift):  # the same operator with level n stored at (n + shift) mod dim
+        dim = op.dim
+        return OperatorMatrix.from_entries(
+            op.basis,
+            {((i + shift) % dim, (j + shift) % dim): v for i, row in enumerate(op.row_nonzeros()) for j, v in row},
+        )
+
     for two_j in (2, 4, 6, 8, 10):
-        reports = audit_hp(build_hp_rep(two_j))
+        rep = build_hp_rep(two_j)
+        reports = audit_hp(rep)
         assert all(r.passed for r in reports), two_j
+        # the spectral check compares sorted spectra, so any level order passes
+        for shift in (1, two_j):
+            moved = HPRep(two_j, *(relabel(op, shift) for op in (rep.j_plus, rep.j_minus, rep.j0, rep.r_op)))
+            assert [r.verdict for r in audit_hp(moved)] == [r.verdict for r in reports], (two_j, shift)
 
 
 def test_hp_odd_refusal_with_leakage():

@@ -333,6 +333,18 @@ BYTE_PINS = [
      "e8ed5c995a4dffa9747364407f06f620c8960ee1e1ebb97f381d48a5463a190d"),
     (["two-mode", "--dims", "17", "17", "--format", "csv", "--nu", "0.5"], 0,
      "1ca362f206dcd32bc067673eb4bb34dcf685d8875302e03b23b22861ddfe56cc"),
+    # matrix JSON: the largest two-mode export, a long single-mode ladder, an
+    # odd spin block, the smallest two-mode set and a payload with no matrix
+    (["two-mode", "--dims", "21", "20"], 0,
+     "db0d5ccfd32e979cc9e3a3e76507f2b7515ea48e7f9521217727f589eef9938b"),
+    (["single-mode", "--dim", "30"], 0,
+     "6dfdd870a7f510d11221e97f2a3e9dbc4179a660b972c9ec82ba5aa84c37e12b"),
+    (["spin-rep", "--two-j", "9"], 0,
+     "4890d3110ab5fe947fb484061604117849794ca733e4a435022b0ec837061d11"),
+    (["two-mode", "--dims", "2", "2"], 0,
+     "1e70798f9a8ffe1f38f876c69a746b4a1f2b43c2dcdd34249c1d0d634d26c64a"),
+    (["hp-rep", "--two-j", "1"], 1,
+     "1864d368ebda2551a5639316618060a01546a1368e81226411782f0e477d79e1"),
 ]
 
 
@@ -357,6 +369,13 @@ def test_csv_export_bytes_pinned_through_output_file(tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4648ef7be33f4241951e606ccc92a0a726a1a2bbbb0f559976d70798ddd9ecac"
     )
+
+
+def test_json_export_bytes_pinned_through_output_file(tmp_path):
+    out = tmp_path / "spin.json"
+    assert cli.run(["spin-rep", "--two-j", "9", "-o", str(out)]) == 0
+    pinned = {" ".join(argv): digest for argv, _, digest in BYTE_PINS}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["spin-rep --two-j 9"]
 
 
 def test_cli_import_does_not_load_numpy():

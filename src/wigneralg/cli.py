@@ -22,7 +22,7 @@ from .errors import OddTwoJNotClosedError
 from .operators import OperatorMatrix
 from .reports import AlgebraReport, Verdict
 from .scalars import deformed_number
-from .serialize import csv_rows, dumps, matrix_to_dict, reports_to_list
+from .serialize import csv_rows, dumps, reports_to_list
 from .single_mode import audit_single_mode, build_single_mode
 from .spin import (
     audit_hp,
@@ -147,7 +147,7 @@ def _emit_operators(
         payload = {
             "command": config.command,
             "nu_domain": "nu > -1/2",
-            "operators": {name: matrix_to_dict(op) for name, op in operators.items()},
+            "operators": operators,
             "reports": reports_to_list(reports),
         }
         _emit(dumps(payload), config)

@@ -271,18 +271,21 @@ def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return (a @ b) + (b @ a)
 
 
-def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatrix:
     """Kronecker product of two Fock-basis operators with two-mode labels.
 
     The first factor carries the major index, so the result is row-major in
-    (n1, n2).
+    (n1, n2).  ``_basis`` is an earlier product's basis on the same factor
+    bases, passed so that products share one basis object.
     """
     if not all(isinstance(l, FockLabel) for l in a.basis) or not all(
         isinstance(l, FockLabel) for l in b.basis
     ):
         raise DimensionMismatchError("tensor factors must both carry Fock bases")
     d2 = b.dim
-    basis = tuple(TwoModeLabel(la.n, lb.n) for la in a.basis for lb in b.basis)
+    if _basis is None:
+        _basis = tuple(TwoModeLabel(la.n, lb.n) for la in a.basis for lb in b.basis)
+    basis = _basis
     b_rows = b.row_nonzeros()
     rows = []
     for a_row in a.row_nonzeros():

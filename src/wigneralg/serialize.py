@@ -16,6 +16,12 @@ Matrix schema (all rationals exact, zero entries omitted):
 and "radicand" the nu-ascending real coefficient list under the square root.
 Floats in reports are normalized to 17 significant digits before encoding so
 identical runs give identical bytes.
+
+``dumps`` writes the bytes of ``json.dumps(payload, sort_keys=True, indent=2)``
+with every ``OperatorMatrix`` in the payload read as ``matrix_to_dict(m)``.  It
+renders matrices itself and each distinct entry value of a matrix once: a value
+nested ``L`` containers deep is its own ``indent=2`` text with every newline
+followed by ``L`` more indents (JSON escapes newlines inside strings).
 """
 
 from __future__ import annotations
@@ -65,23 +71,22 @@ def _gaussian_from_dict(data) -> GaussianRational:
     )
 
 
+def _terms_list(value: RadicalSum) -> List[dict]:
+    return [
+        {
+            "coeff": [_gaussian_to_dict(c) for c in coeff.coeffs],
+            "radicand": [_fraction_pair(c.re) for c in radicand.coeffs],
+        }
+        for coeff, radicand in value.terms
+    ]
+
+
 def matrix_to_dict(matrix: OperatorMatrix) -> dict:
-    entries = []
-    for i, row in enumerate(matrix.row_nonzeros()):
-        for j, value in row:
-            entries.append(
-                {
-                    "row": i,
-                    "col": j,
-                    "terms": [
-                        {
-                            "coeff": [_gaussian_to_dict(c) for c in coeff.coeffs],
-                            "radicand": [_fraction_pair(c.re) for c in radicand.coeffs],
-                        }
-                        for coeff, radicand in value.terms
-                    ],
-                }
-            )
+    entries = [
+        {"row": i, "col": j, "terms": _terms_list(value)}
+        for i, row in enumerate(matrix.row_nonzeros())
+        for j, value in row
+    ]
     return {
         "dim": matrix.dim,
         "basis": [label_to_string(l) for l in matrix.basis],
@@ -115,22 +120,84 @@ def reports_to_list(reports: Sequence[AlgebraReport]) -> List[dict]:
     return out
 
 
-def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _nested(value, level: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` as it reads ``level`` containers deep."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _holds_matrix(value) -> bool:
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return isinstance(value, OperatorMatrix)
+    for item in value:
+        if isinstance(item, (dict, list, tuple, OperatorMatrix)) and _holds_matrix(item):
+            return True
+    return False
+
+
+def _matrix_json(matrix: OperatorMatrix, level: int) -> str:
+    """``_nested(matrix_to_dict(matrix), level)``, rendering each distinct entry value once."""
+    at1, at2, at3 = ("\n" + "  " * (level + k) for k in (1, 2, 3))
+    terms_text: Dict[RadicalSum, str] = {}
+    entries = []
+    for i, row in enumerate(matrix.row_nonzeros()):
+        for j, value in row:
+            terms = terms_text.get(value)
+            if terms is None:
+                terms = terms_text[value] = _nested(_terms_list(value), level + 3)
+            entries.append(
+                f'{{{at3}"col": {j},{at3}"row": {i},{at3}"terms": {terms}{at2}}}'
+            )
+    entries_text = f"[{at2}{(',' + at2).join(entries)}{at1}]" if entries else "[]"
+    basis_text = _nested([label_to_string(l) for l in matrix.basis], level + 1)
+    return (
+        f'{{{at1}"basis": {basis_text},{at1}"dim": {matrix.dim},'
+        f'{at1}"entries": {entries_text}{at1[:-2]}}}'
+    )
+
+
+def _encode(value, level: int) -> str:
+    if isinstance(value, OperatorMatrix):
+        return _matrix_json(value, level)
+    if not _holds_matrix(value):
+        return _nested(value, level)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):  # matrix-holding mappings are keyed by strings
+        items = [f"{json.dumps(k)}: {_encode(value[k], level + 1)}" for k in sorted(value)]
+        opening, closing = "{", "}"
+    else:
+        items = [_encode(v, level + 1) for v in value]
+        opening, closing = "[", "]"
+    return f"{opening}{inner}{(',' + inner).join(items)}{inner[:-2]}{closing}"
+
+
+def dumps(payload) -> str:
+    """The payload as indent-2, key-sorted JSON with a final newline.
+
+    ``OperatorMatrix`` values anywhere in it are written as ``matrix_to_dict``
+    would give them.
+    """
+    return _encode(payload, 0) + "\n"
 
 
 def csv_rows(matrix: OperatorMatrix, nu: float, prefix: str = "") -> str:
     """Numeric values at a single nu, one ``{prefix}row,col,real,imag`` line per cell.
 
     Zero cells are included; every line, the last too, ends in a newline.
+    Each distinct entry value is evaluated and formatted once.
     """
     zero_cells = [f"{j},0,0" for j in range(matrix.dim)]  # format(0.0, ".17g") == "0"
+    value_text: Dict[RadicalSum, str] = {}
     lines = []
     for i, row in enumerate(matrix.row_nonzeros()):
         cells = zero_cells.copy()
         for j, value in row:
-            value = numeric_eval(value, nu)
-            cells[j] = f"{j},{format(value.real, '.17g')},{format(value.imag, '.17g')}"
+            text = value_text.get(value)
+            if text is None:
+                z = numeric_eval(value, nu)
+                text = value_text[value] = f"{format(z.real, '.17g')},{format(z.imag, '.17g')}"
+            cells[j] = f"{j},{text}"
         row_prefix = f"{prefix}{i},"
         lines.append(row_prefix + ("\n" + row_prefix).join(cells))
     lines.append("")

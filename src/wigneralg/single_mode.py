@@ -15,6 +15,7 @@ from .operators import (
     OperatorMatrix,
     RelationSpec,
     anticommutator,
+    build_now,
     check_relation,
     check_specs,
     commutator,
@@ -91,12 +92,13 @@ def audit_single_mode(s: SingleModeSet) -> List[AlgebraReport]:
     return check_specs(single_mode_relation_specs(s))
 
 
-def truncation_defect_report(s: SingleModeSet) -> AlgebraReport:
-    """Confirm the unmasked bracket fails exactly and only at the top row with defect -[dim]."""
+def truncation_defect_report(s: SingleModeSet, *, build=build_now) -> AlgebraReport:
+    """Confirm the unmasked bracket fails exactly and only at the top row with defect -[dim].
+
+    The bracket and its right side are the first spec of the family's specs.
+    """
     relation_id = f"[a,adag] truncation defect at row {s.dim - 1} equals -[{s.dim}]"
-    identity = OperatorMatrix.identity(s.a.basis)
-    rhs = identity + s.r_op.scale(P_TWO_NU)
-    bracket = commutator(s.a, s.a_dag)
+    _, bracket, rhs, mask = build(single_mode_relation_specs, s)[0]
     unmasked = check_relation("[a,adag] = 1 + 2nu R (unmasked)", bracket, rhs)
     top = s.dim - 1
     problems = []
@@ -104,7 +106,7 @@ def truncation_defect_report(s: SingleModeSet) -> AlgebraReport:
         problems.append("unmasked check did not fail")
     elif (unmasked.witness.row, unmasked.witness.col) != (top, top):
         problems.append(f"first failure at {unmasked.witness.row},{unmasked.witness.col}")
-    masked = check_relation("[a,adag] = 1 + 2nu R", bracket, rhs, number_mask(s.dim))
+    masked = check_relation("[a,adag] = 1 + 2nu R", bracket, rhs, mask)
     if masked.verdict is not Verdict.PASS:
         problems.append("masked rows are not exact")
     defect = bracket.entry(top, top) - rhs.entry(top, top)

@@ -106,7 +106,7 @@ def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, build=build_now) -
     for dim in range(min_dim, max_dim + 1):
         s = build(build_single_mode, dim)
         per_dim.append(check_specs(build(single_mode_relation_specs, s)))
-        defects.append(truncation_defect_report(s))
+        defects.append(truncation_defect_report(s, build=build))
     out = _group_by_suffix(per_dim, f"(dims {min_dim}..{max_dim})")
     out.append(
         aggregate(

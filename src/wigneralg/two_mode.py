@@ -46,12 +46,15 @@ def build_two_mode(d1: int, d2: int, *, build=build_now) -> TwoModeSet:
     m2 = build(build_single_mode, d2)
     i1 = OperatorMatrix.identity(m1.a.basis)
     i2 = OperatorMatrix.identity(m2.a.basis)
+    a1 = tensor(m1.a, i2)
+    # one basis object for all eight, so basis checks between them are identity tests
+    basis = a1.basis
     return TwoModeSet(
         dims=(d1, d2),
-        a=(tensor(m1.a, i2), tensor(i1, m2.a)),
-        a_dag=(tensor(m1.a_dag, i2), tensor(i1, m2.a_dag)),
-        n_op=(tensor(m1.n_op, i2), tensor(i1, m2.n_op)),
-        r_op=(tensor(m1.r_op, i2), tensor(i1, m2.r_op)),
+        a=(a1, tensor(i1, m2.a, _basis=basis)),
+        a_dag=(tensor(m1.a_dag, i2, _basis=basis), tensor(i1, m2.a_dag, _basis=basis)),
+        n_op=(tensor(m1.n_op, i2, _basis=basis), tensor(i1, m2.n_op, _basis=basis)),
+        r_op=(tensor(m1.r_op, i2, _basis=basis), tensor(i1, m2.r_op, _basis=basis)),
     )
 
 

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wigneralg import cli
+from wigneralg import cli, serialize
 from wigneralg.cli import MAX_MATRIX_DIM, MAX_N, RunConfig
 from wigneralg.operators import OperatorMatrix, fock_basis
 from wigneralg.scalars import GaussianRational, NuPolynomial, RadicalSum
@@ -22,10 +22,11 @@ from wigneralg.serialize import (
     matrix_from_dict,
     matrix_to_csv,
     matrix_to_dict,
+    reports_to_list,
 )
 from wigneralg.single_mode import build_single_mode
 from wigneralg.spin import build_js_spin_rep, build_so_nu3
-from wigneralg.two_mode import build_two_mode
+from wigneralg.two_mode import audit_two_mode, build_two_mode
 
 
 def run_cli(*args, env=None):
@@ -96,6 +97,118 @@ def test_csv_numeric_export():
         cell[(int(r), int(c))] = (float(re_), float(im))
     assert cell[(0, 1)][0] == pytest.approx(2.0 ** 0.5)
     assert cell[(1, 1)] == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------- matrix writer
+
+
+def _as_dicts(value):
+    """The payload with every matrix replaced by its matrix_to_dict form."""
+    if isinstance(value, OperatorMatrix):
+        return matrix_to_dict(value)
+    if isinstance(value, dict):
+        return {k: _as_dicts(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_dicts(v) for v in value]
+    return value
+
+
+def _stdlib_dumps(payload):
+    return json.dumps(_as_dicts(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _writer_matrices():
+    basis = fock_basis(3)
+    multi = RadicalSum.sqrt_poly(NuPolynomial.from_coeffs([2, 1])) + RadicalSum.from_polynomial(
+        NuPolynomial.from_coeffs([Fraction(1, 3), GaussianRational(Fraction(0), Fraction(-5, 2))])
+    ) * RadicalSum.sqrt_poly(7)
+    assert len(multi.terms) == 2
+    return {
+        "zero": OperatorMatrix.zeros(fock_basis(2)),
+        "multi-term": OperatorMatrix.from_entries(basis, {(0, 1): multi, (2, 0): multi, (1, 1): -multi}),
+        "fock": build_single_mode(4).a_dag,
+        "two-mode": build_two_mode(2, 3).a[1],
+        "spin": build_js_spin_rep(3).j_plus,
+        "halves": build_js_spin_rep(1).j0,
+        "complex": build_so_nu3(2).l_y,
+    }
+
+
+WRITER_MATRICES = _writer_matrices()
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_MATRICES))
+def test_dumps_matches_stdlib_at_every_depth(name):
+    m = WRITER_MATRICES[name]
+    assert m.row_nonzeros() or name == "zero"
+    for payload in (m, {"m": m}, {"ops": {"m": m}}, {"x": [{"m": m}]}, [m, {"k": [m]}]):
+        assert dumps(payload) == _stdlib_dumps(payload)
+    assert '"entries": []' in dumps({"m": WRITER_MATRICES["zero"]})
+
+
+def test_dumps_matches_stdlib_on_a_mixed_payload():
+    ops = WRITER_MATRICES
+    payload = {
+        "command": "mixed",
+        "note": "two\nlines \"quoted\" \u00e9",
+        "operators": dict(ops),
+        "same matrix deeper": {"x": [ops["multi-term"], {"y": ops["multi-term"]}]},
+        "reports": [{"residual": 1.5e-17, "caveat": None, "ok": True}],
+        "empty": {"list": [], "dict": {}},
+        "tuple": (ops["spin"], 1),
+    }
+    assert dumps(payload) == _stdlib_dumps(payload)
+    assert dumps({"n": 1}) == _stdlib_dumps({"n": 1})
+
+
+json_leaf_st = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), st.text(max_size=3)
+)
+payload_st = st.recursive(
+    st.one_of(json_leaf_st, st.sampled_from(list(WRITER_MATRICES.values()))),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(st.text(max_size=3), children, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload_st)
+def test_dumps_matches_stdlib_on_drawn_payloads(payload):
+    assert dumps(payload) == _stdlib_dumps(payload)
+
+
+def test_dumps_renders_each_distinct_entry_once(monkeypatch):
+    # a guard on work, not time: one json.dumps per distinct entry value of
+    # each matrix, a fixed few for the rest, and never a whole matrix
+    s = build_two_mode(20, 20)
+    operators = {
+        "a1": s.a[0], "a2": s.a[1], "adag1": s.a_dag[0], "adag2": s.a_dag[1],
+        "N1": s.n_op[0], "N2": s.n_op[1], "R1": s.r_op[0], "R2": s.r_op[1],
+    }
+    payload = {
+        "command": "two-mode",
+        "nu_domain": "nu > -1/2",
+        "operators": operators,
+        "reports": reports_to_list(audit_two_mode(build_two_mode(2, 2))),
+    }
+    distinct = sum(len({v for row in m.row_nonzeros() for _, v in row}) for m in operators.values())
+    expected = _stdlib_dumps(payload)
+    stdlib_dumps, arguments = json.dumps, []
+
+    def counting_dumps(value, **kwargs):
+        arguments.append(value)
+        return stdlib_dumps(value, **kwargs)
+
+    monkeypatch.setattr(serialize.json, "dumps", counting_dumps)
+    matches = dumps(payload) == expected  # about 1.7 MB each: no diff on failure
+    monkeypatch.undo()
+    assert matches
+    terms_lists = [a for a in arguments if isinstance(a, list) and a and isinstance(a[0], dict) and "coeff" in a[0]]
+    assert len(terms_lists) == distinct
+    assert len(arguments) <= distinct + 32
+    assert not any(isinstance(a, dict) and "entries" in a for a in arguments)
 
 
 # ---------------------------------------------------------------- CLI

@@ -11,6 +11,7 @@ from wigneralg.operators import (
     NU_GRID,
     OperatorMatrix,
     check_relation,
+    commutator,
     eval_matrix,
     fock_basis,
     numeric_relation_report,
@@ -129,15 +130,27 @@ def test_verify_all_builds_each_family_once(monkeypatch):
         condensed_relation_specs, so_nu3_relation_specs, so_nu3_condensed_specs, hp_relation_specs,
     )
     calls = Counter()
+    single_modes = []  # every single-mode family, as built
+    brackets = Counter()  # [a, adag] computations per single-mode family
 
     def counting(fn):
         def wrapper(*args, **kwargs):
             calls[(fn.__name__, *(a if type(a) is int else id(a) for a in args))] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if fn is build_single_mode:
+                single_modes.append(result)
+            return result
 
         return wrapper
 
+    def counting_commutator(a, b):
+        for s in single_modes:
+            if a is s.a and b is s.a_dag:
+                brackets[s.dim] += 1
+        return commutator(a, b)
+
     wrappers = {fn: counting(fn) for fn in counted}
+    wrappers[commutator] = counting_commutator
     for name, module in list(sys.modules.items()):
         if name == "wigneralg" or name.startswith("wigneralg."):
             for attr, value in list(vars(module).items()):
@@ -151,6 +164,9 @@ def test_verify_all_builds_each_family_once(monkeypatch):
     assert per_function["build_js_spin_rep"] == 4  # 2j = 1..4
     assert per_function["build_single_mode"] == 6  # dims 2..6 and the grid's 12
     assert per_function["tensor"] == 8  # one two-mode family: four operators per mode
+    # the truncation defect reads the bracket from the family's specs
+    assert sorted(s.dim for s in single_modes) == [2, 3, 4, 5, 6, 12]
+    assert brackets == {dim: 1 for dim in (2, 3, 4, 5, 6, 12)}
 
 
 def grid_specs(max_two_j, dims, single_dim):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wigneralg.errors import InvalidDimensionError
-from wigneralg.operators import eval_matrix
+from wigneralg.operators import OperatorMatrix, eval_matrix, tensor
 from wigneralg.reports import Verdict
 from wigneralg.scalars import RadicalSum, deformed_number
+from wigneralg.single_mode import build_single_mode
 from wigneralg.two_mode import audit_two_mode, build_two_mode
 
 
@@ -41,6 +42,16 @@ def test_audit_passes_small_grid():
             reports = audit_two_mode(build_two_mode(d1, d2))
             assert all(r.passed for r in reports), (d1, d2)
             assert all(r.verdict is Verdict.PASS for r in reports)
+
+
+def test_two_mode_operators_share_one_basis():
+    s = build_two_mode(3, 4)
+    assert s.a[0].basis is s.r_op[1].basis
+    assert all(op.basis is s.basis for op in s.a + s.a_dag + s.n_op + s.r_op)
+    # the shared tuple holds the labels tensor builds on its own
+    m1, m2 = build_single_mode(3), build_single_mode(4)
+    assert s.basis == tensor(OperatorMatrix.identity(m1.a.basis), m2.r_op).basis
+    assert s.r_op[1] == tensor(OperatorMatrix.identity(m1.a.basis), m2.r_op)
 
 
 def test_audit_verdicts_pinned():

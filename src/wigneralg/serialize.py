@@ -138,7 +138,7 @@ def _holds_matrix(value) -> bool:
 
 def _matrix_json(matrix: OperatorMatrix, level: int) -> str:
     """``_nested(matrix_to_dict(matrix), level)``, rendering each distinct entry value once."""
-    at1, at2, at3 = ("\n" + "  " * (level + k) for k in (1, 2, 3))
+    at0, at1, at2, at3 = ("\n" + "  " * (level + k) for k in range(4))
     terms_text: Dict[RadicalSum, str] = {}
     entries = []
     for i, row in enumerate(matrix.row_nonzeros()):
@@ -153,7 +153,7 @@ def _matrix_json(matrix: OperatorMatrix, level: int) -> str:
     basis_text = _nested([label_to_string(l) for l in matrix.basis], level + 1)
     return (
         f'{{{at1}"basis": {basis_text},{at1}"dim": {matrix.dim},'
-        f'{at1}"entries": {entries_text}{at1[:-2]}}}'
+        f'{at1}"entries": {entries_text}{at0}}}'
     )
 
 
@@ -162,14 +162,14 @@ def _encode(value, level: int) -> str:
         return _matrix_json(value, level)
     if not _holds_matrix(value):
         return _nested(value, level)
-    inner = "\n" + "  " * (level + 1)
+    outer, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
     if isinstance(value, dict):  # matrix-holding mappings are keyed by strings
         items = [f"{json.dumps(k)}: {_encode(value[k], level + 1)}" for k in sorted(value)]
         opening, closing = "{", "}"
     else:
         items = [_encode(v, level + 1) for v in value]
         opening, closing = "[", "]"
-    return f"{opening}{inner}{(',' + inner).join(items)}{inner[:-2]}{closing}"
+    return f"{opening}{inner}{(',' + inner).join(items)}{outer}{closing}"
 
 
 def dumps(payload) -> str:

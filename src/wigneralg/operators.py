@@ -106,7 +106,8 @@ class OperatorMatrix:
 
     The constructor validates that form, and the basis, for rows from
     outside (the public constructor, ``from_entries``, deserialization).
-    The operations of this module (``@``, ``+``, ``-``, ``scale``,
+    The operations of this module (``@``, the bracket kernel behind
+    ``commutator`` and ``anticommutator``, ``+``, ``-``, ``scale``,
     ``adjoint``, ``tensor``) keep the form by construction from canonical
     operands on a validated basis, so they pass their rows as
     ``_KernelRows`` and the constructor stores them without re-checking.
@@ -225,20 +226,7 @@ class OperatorMatrix:
         return OperatorMatrix(self.basis, _KernelRows(rows))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_space(other)
-        other_rows = other._rows
-        rows = []
-        for self_row in self._rows:
-            acc: Dict[int, RadicalSum] = {}
-            for k, a_ik in self_row:
-                for j, b_kj in other_rows[k]:
-                    prod = a_ik * b_kj
-                    if j in acc:
-                        acc[j] = acc[j] + prod
-                    else:
-                        acc[j] = prod
-            rows.append(tuple([(j, v) for j, v in sorted(acc.items()) if v.terms]))
-        return OperatorMatrix(self.basis, _KernelRows(rows))
+        return _products(((self, other, False),))
 
     def adjoint(self) -> "OperatorMatrix":
         rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
@@ -261,14 +249,40 @@ class OperatorMatrix:
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
+def _products(terms: Sequence[Tuple[OperatorMatrix, OperatorMatrix, bool]]) -> OperatorMatrix:
+    """The sum of X @ Y, negated where asked, over ``(X, Y, negate)`` terms.
+
+    Every product x_ik * y_kj is added into one dict per row, so a bracket
+    builds no intermediate matrix and needs no merge pass.
+    """
+    first = terms[0][0]
+    for x, y, _ in terms:
+        first._require_same_space(x)
+        first._require_same_space(y)
+    rows = []
+    for i in range(first.dim):
+        acc: Dict[int, RadicalSum] = {}
+        for x, y, negate in terms:
+            y_rows = y._rows
+            for k, x_ik in x._rows[i]:
+                for j, y_kj in y_rows[k]:
+                    prod = x_ik * y_kj
+                    if j in acc:
+                        acc[j] = acc[j] - prod if negate else acc[j] + prod
+                    else:
+                        acc[j] = -prod if negate else prod
+        rows.append(tuple([(j, v) for j, v in sorted(acc.items()) if v.terms]))
+    return OperatorMatrix(first.basis, _KernelRows(rows))
+
+
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
-    return (a @ b) - (b @ a)
+    return _products(((a, b, False), (b, a, True)))
 
 
 def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB + BA."""
-    return (a @ b) + (b @ a)
+    return _products(((a, b, False), (b, a, False)))
 
 
 def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatrix:
@@ -428,25 +442,36 @@ def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
 
 
 def numeric_relation_report(
-    spec: RelationSpec, nus: Sequence[float] = NU_GRID, tol: float = 1e-12
+    spec: RelationSpec, nus: Sequence[float] = NU_GRID, tol: float = 1e-12, *, memo: Optional[dict] = None
 ) -> AlgebraReport:
     """Frobenius-norm residual of lhs - rhs over a nu grid, masked rows only.
 
-    Each side's stored entries on the masked rows are evaluated once per nu;
-    the residual sums |lhs - rhs|^2 over the union of their stored columns.
+    Each distinct stored entry is evaluated once on the whole grid, into
+    ``memo`` (entry -> values on ``nus``, shareable by reports on one grid);
+    the residual at each nu sums |lhs - rhs|^2 over the stored columns.
     """
+    if any(nu <= -0.5 for nu in nus):
+        raise ValueError("numeric evaluation needs nu > -1/2")
+    memo = {} if memo is None else memo
+
+    def on_grid(row):
+        for _, value in row:
+            if value not in memo:
+                memo[value] = tuple([numeric_eval(value, nu) for nu in nus])
+        return [(j, memo[value]) for j, value in row]
+
     rows = range(spec.lhs.dim) if spec.mask is None else sorted(spec.mask)
     lhs_nz, rhs_nz = spec.lhs.row_nonzeros(), spec.rhs.row_nonzeros()
+    lefts = [on_grid(lhs_nz[i]) for i in rows]
+    # equal canonical rows evaluate alike
+    sides = [(left, left if rhs_nz[i] == lhs_nz[i] else on_grid(rhs_nz[i])) for i, left in zip(rows, lefts)]
     worst = 0.0
     ok = True
-    for nu in nus:
-        if nu <= -0.5:
-            raise ValueError("numeric evaluation needs nu > -1/2")
+    for k in range(len(nus)):
         diff_sq = lhs_sq = 0.0
-        for i in rows:
-            left = {j: numeric_eval(value, nu) for j, value in lhs_nz[i]}
-            same = rhs_nz[i] == lhs_nz[i]  # equal canonical rows evaluate alike
-            right = left if same else {j: numeric_eval(value, nu) for j, value in rhs_nz[i]}
+        for left_row, right_row in sides:
+            left = {j: values[k] for j, values in left_row}
+            right = left if right_row is left_row else {j: values[k] for j, values in right_row}
             for j in left.keys() | right.keys():
                 d = left.get(j, 0j) - right.get(j, 0j)
                 diff_sq += d.real * d.real + d.imag * d.imag

@@ -326,6 +326,10 @@ class NuPolynomial:
         if not a or not b:
             return P_ZERO
         ai, bi = self.im, other.im
+        if a == (1,) and not ai and self.den == 1:
+            return other
+        if b == (1,) and not bi and other.den == 1:
+            return self
         den = self.den * other.den
         if not ai and not bi:
             re = _convolve(a, b)
@@ -527,18 +531,6 @@ def _is_one(p: NuPolynomial) -> bool:
     return p.den == 1 and p.re == (1,) and not p.im
 
 
-def _unit_sign(terms: Tuple[Term, ...]) -> int:
-    """1 or -1 when ``terms`` is the radical sum 1 or -1, otherwise 0."""
-    if len(terms) == 1:
-        coeff, rad = terms[0]
-        if rad.re == (1,) and rad.den == 1 and not rad.im and coeff.den == 1 and not coeff.im:
-            if coeff.re == (1,):
-                return 1
-            if coeff.re == (-1,):
-                return -1
-    return 0
-
-
 def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPolynomial) -> Term:
     """c1*sqrt(r1) * c2*sqrt(r2) as one (coefficient, canonical radicand) term.
 
@@ -662,15 +654,18 @@ class RadicalSum:
     def __mul__(self, other) -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             other = RadicalSum.coerce(other)
+        # the shared units: every other value equal to 1 or -1 takes the general path
+        if self is R_ONE:
+            return other
+        if other is R_ONE:
+            return self
+        if self is R_MINUS_ONE:
+            return -other
+        if other is R_MINUS_ONE:
+            return -self
         t1, t2 = self.terms, other.terms
         if not t1 or not t2:
             return R_ZERO
-        sign = _unit_sign(t1)
-        if sign:
-            return other if sign == 1 else -other
-        sign = _unit_sign(t2)
-        if sign:
-            return self if sign == 1 else -self
         if len(t1) == 1 and len(t2) == 1:
             coeff, rad = _term_product(*t1[0], *t2[0])
             return RadicalSum(((coeff, rad),)) if coeff.re else R_ZERO
@@ -716,6 +711,7 @@ class RadicalSum:
 
 R_ZERO = RadicalSum()
 R_ONE = RadicalSum(((P_ONE, P_ONE),))
+R_MINUS_ONE = RadicalSum(((_poly((-1,), (), 1), P_ONE),))
 
 
 ########################################################################

@@ -34,6 +34,7 @@ from .operators import (
     Caveat,
     OperatorMatrix,
     RelationSpec,
+    _products,
     anticommutator,
     build_now,
     check_relation,
@@ -49,6 +50,8 @@ from .scalars import (
     P_I,
     P_NU,
     P_TWO_NU,
+    R_MINUS_ONE,
+    R_ONE,
     RadicalSum,
     deformed_number,
     numeric_eval,
@@ -123,14 +126,13 @@ def build_js_spin_rep(two_j: int) -> SuNu2Rep:
     j0 = OperatorMatrix.diagonal(
         [NuPolynomial.constant(label.m) for label in basis], basis
     )
-    diag_p, diag_q, diag_k, diag_r = [], [], [], []
+    diag_p, diag_q, diag_k = [], [], []
     for i in range(dim):
         n1, n2 = two_j - i, i
         s1, s2 = (-1) ** n1, (-1) ** n2
         diag_p.append(NuPolynomial.constant(n1 * s2 - n2 * s1))
         diag_q.append(NuPolynomial.constant(Fraction(s2 + s1, 2)))
         diag_k.append(NuPolynomial.constant(Fraction(s2 - s1, 2)))
-        diag_r.append(NuPolynomial.constant(s2))
     return SuNu2Rep(
         two_j=two_j,
         j_plus=j_plus,
@@ -139,7 +141,7 @@ def build_js_spin_rep(two_j: int) -> SuNu2Rep:
         p_op=OperatorMatrix.diagonal(diag_p, basis),
         k_op=OperatorMatrix.diagonal(diag_k, basis),
         q_op=OperatorMatrix.diagonal(diag_q, basis),
-        r_j=OperatorMatrix.diagonal(diag_r, basis),
+        r_j=OperatorMatrix.diagonal([(R_ONE, R_MINUS_ONE)[i % 2] for i in range(dim)], basis),
     )
 
 
@@ -157,7 +159,7 @@ def js_composites(s) -> Dict[str, OperatorMatrix]:
         "J+": ad1 @ a2,
         "J-": a1 @ ad2,
         "J0": (n1 - n2).scale(HALF),
-        "P": (n1 @ r2) - (n2 @ r1),
+        "P": _products(((n1, r2, False), (n2, r1, True))),
         "K": (r2 - r1).scale(HALF),
         "Q": (r2 + r1).scale(HALF),
         "R_J": r2,
@@ -375,9 +377,7 @@ def build_hp_rep(two_j: int) -> HPRep:
     j0 = OperatorMatrix.diagonal(
         [NuPolynomial.constant(Fraction(two_j, 2) - n) for n in range(dim)], basis
     )
-    r_op = OperatorMatrix.diagonal(
-        [NuPolynomial.constant((-1) ** n) for n in range(dim)], basis
-    )
+    r_op = OperatorMatrix.diagonal([(R_ONE, R_MINUS_ONE)[n % 2] for n in range(dim)], basis)
     return HPRep(two_j=two_j, j_plus=j_plus, j_minus=j_plus.adjoint(), j0=j0, r_op=r_op)
 
 

@@ -227,7 +227,8 @@ def numeric_suite(
     even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
     if even >= 2:
         families.append(build(hp_relation_specs, build(build_hp_rep, even)))
-    return [numeric_relation_report(spec) for specs in families for spec in specs]
+    memo: dict = {}  # each distinct entry is evaluated once on the grid
+    return [numeric_relation_report(spec, memo=memo) for specs in families for spec in specs]
 
 
 def verify_all(

@@ -12,6 +12,7 @@ from wigneralg.operators import (
     RelationSpec,
     SpinLabel,
     TwoModeLabel,
+    _products,
     anticommutator,
     check_relation,
     check_specs,
@@ -21,8 +22,10 @@ from wigneralg.operators import (
     tensor,
 )
 from wigneralg.reports import CheckMode, Verdict
-from wigneralg.scalars import GaussianRational, NuPolynomial, RadicalSum, deformed_number
+from wigneralg.scalars import R_MINUS_ONE, R_ONE, GaussianRational, NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
+from wigneralg.spin import build_hp_rep, build_js_spin_rep, build_so_nu3, js_composites
+from wigneralg.two_mode import build_two_mode
 
 
 def poly(*coeffs):
@@ -84,8 +87,42 @@ def test_dimension_mismatch_raises():
     b = build_single_mode(4).a
     with pytest.raises(DimensionMismatchError):
         commutator(a, b)
+    with pytest.raises(DimensionMismatchError):  # each term fits, the terms do not
+        _products(((a, a, False), (b, b, True)))
     with pytest.raises(DimensionMismatchError):
         check_relation("x", a, b)
+
+
+def _family_operators():
+    """(name, operators on one space) for single-mode, two-mode and spin families."""
+    for dim in (2, 3, 6):
+        s = build_single_mode(dim)
+        yield f"single {dim}", [s.a, s.a_dag, s.n_op, s.r_op]
+    for d1 in range(2, 6):
+        for d2 in range(2, 6):
+            s = build_two_mode(d1, d2)
+            yield f"two-mode {d1}x{d2}", [*s.a, *s.a_dag, *s.n_op, *s.r_op]
+    for two_j in (1, 2, 3, 4):
+        rep, so3 = build_js_spin_rep(two_j), build_so_nu3(two_j)
+        yield f"su {two_j}", [rep.j_plus, rep.j_minus, rep.j0, rep.p_op, rep.k_op, rep.q_op, rep.r_j]
+        yield f"so {two_j}", [so3.l_x, so3.l_y, so3.l_z]
+    for two_j in (2, 4):
+        hp = build_hp_rep(two_j)
+        yield f"hp {two_j}", [hp.j_plus, hp.j_minus, hp.j0, hp.r_op]
+
+
+def test_brackets_match_product_then_merge():
+    """The one-pass bracket kernel equals (A @ B) -/+ (B @ A) built as two products and a merge."""
+    for name, ops in _family_operators():
+        for x in ops:
+            for y in ops:
+                xy, yx = x @ y, y @ x
+                assert commutator(x, y) == xy - yx, name
+                assert anticommutator(x, y) == xy + yx, name
+    for d1, d2 in ((2, 2), (3, 5), (5, 4)):
+        s = build_two_mode(d1, d2)
+        (n1, n2), (r1, r2) = s.n_op, s.r_op
+        assert js_composites(s)["P"] == (n1 @ r2) - (n2 @ r1)
 
 
 # ---------------------------------------------------------------- adjoints
@@ -175,8 +212,9 @@ def test_sparse_operations_match_dense_reference(data):
     da = _cells(data, dim)
     db = _cells(data, dim, like=da)
     dc = _cells(data, dim2)
-    # unit factors take the scalar short-cut
-    units = st.sampled_from([RadicalSum.one(), -RadicalSum.one()])
+    # the shared units take the scalar short-cut; values equal to them that are
+    # other objects take the general path
+    units = st.sampled_from([R_ONE, R_MINUS_ONE, -R_ONE, -R_MINUS_ONE, RadicalSum.coerce(1)])
     factor = data.draw(st.one_of(cell_st, units), label="factor")
     a, b, c = _from_dense(basis, da), _from_dense(basis, db), _from_dense(fock_basis(dim2), dc)
     span = range(dim)
@@ -192,6 +230,9 @@ def test_sparse_operations_match_dense_reference(data):
     flip = [[one if i + j == dim - 1 else zero for j in span] for i in span]
     ones = [[one] * dim for _ in span]
     paired = [da[i] if i % 2 == 0 else [-v for v in da[i - 1]] for i in span]
+    neg = [[-v for v in row] for row in da]
+    parity = OperatorMatrix.diagonal([(R_ONE, R_MINUS_ONE)[i % 2] for i in span], basis)
+    odd = [[da[i][j] if (i + j) % 2 else zero for j in span] for i in span]
     results = [
         (a @ b, product),
         (a @ _from_dense(basis, flip), dense_product(da, flip)),
@@ -213,6 +254,13 @@ def test_sparse_operations_match_dense_reference(data):
         ),
         (commutator(a, b), [[product[i][j] - reverse[i][j] for j in span] for i in span]),
         (anticommutator(a, b), [[product[i][j] + reverse[i][j] for j in span] for i in span]),
+        (
+            anticommutator(a, -a),
+            [[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(dense_product(da, neg), dense_product(neg, da))],
+        ),
+        # every entry cancels: a with itself, and a parity with an operator that flips it
+        (commutator(a, a), [[zero] * dim for _ in span]),
+        (anticommutator(parity, _from_dense(basis, odd)), [[zero] * dim for _ in span]),
     ]
     for matrix, dense in results:
         _assert_matches_dense(matrix, dense)
@@ -220,6 +268,9 @@ def test_sparse_operations_match_dense_reference(data):
         rebuilt = OperatorMatrix(matrix.basis, [list(row) for row in matrix.row_nonzeros()])
         assert rebuilt == matrix and hash(rebuilt) == hash(matrix)
     assert a - a == OperatorMatrix.zeros(basis)
+    for x in (factor, da[0][0], R_ONE, R_MINUS_ONE):
+        assert x * R_ONE is x and R_ONE * x is x
+        assert R_MINUS_ONE * x == x * R_MINUS_ONE == -x
     assert hash(a + b) == hash(_from_dense(basis, [[da[i][j] + db[i][j] for j in span] for i in span]))
 
 

@@ -10,6 +10,7 @@ from wigneralg.scalars import (
     GaussianRational,
     NuPolynomial,
     ParityClass,
+    R_MINUS_ONE,
     RadicalSum,
     _canonical_radicand,
     _radicand_sort_key,
@@ -232,7 +233,7 @@ def test_radical_ring_axioms(a, b, c, shared):
         assert p - q == p + (-q)
         assert p * q == term_product_reference(p, q)
     assert (a - a).terms == ()
-    for unit in (RadicalSum.one(), -RadicalSum.one()):
+    for unit in (RadicalSum.one(), R_MINUS_ONE, -RadicalSum.one()):
         for p in (a, x):
             assert unit * p == p * unit == term_product_reference(unit, p)
     assert RadicalSum.one() * a == a and -RadicalSum.one() * a == -a
@@ -397,6 +398,7 @@ def test_integer_polynomial_matches_gaussian_reference(pair, nu):
         (p - q, ref_add(a, neg_b)),
         (p - p, []),
         (p * NuPolynomial.constant(1), ref_mul(a, [GaussianRational(1)])),
+        (NuPolynomial.constant(1) * q, ref_mul([GaussianRational(1)], b)),
         (p * NuPolynomial.constant(-1), ref_mul(a, [GaussianRational(-1)])),
         (p - NuPolynomial.constant(1), ref_add(a, [GaussianRational(-1)])),
         (NuPolynomial.constant(-1) - q, ref_add([GaussianRational(-1)], neg_b)),

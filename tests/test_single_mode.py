@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from wigneralg.errors import InvalidDimensionError
-from wigneralg.operators import OperatorMatrix, commutator, eval_matrix
+from wigneralg.operators import OperatorMatrix, check_relation, commutator, eval_matrix
 from wigneralg.reports import Verdict
 from wigneralg.scalars import NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import (
     audit_single_mode,
     build_single_mode,
+    single_mode_relation_specs,
     truncation_defect_report,
 )
 
@@ -70,6 +71,24 @@ def test_truncation_defect_matches_brute_force():
             np.testing.assert_allclose(
                 np.diag(bracket)[:-1], expected_diag[:-1], atol=1e-12
             )
+
+
+def test_truncation_defect_report_compares_rows_below_the_top():
+    """A bracket changed on a masked row is reported exactly when the masked check fails."""
+    for dim in (2, 4, 7):
+        s = build_single_mode(dim)
+        top = dim - 1
+        specs = single_mode_relation_specs(s)
+        relation_id, bracket, rhs, mask = specs[0]
+        for row in sorted({0, top - 1, top}):
+            changed = bracket + OperatorMatrix.from_entries(bracket.basis, {(row, 0): RadicalSum.one()})
+            changed_specs = [specs[0]._replace(lhs=changed)] + specs[1:]
+            report = truncation_defect_report(s, build=lambda fn, arg: changed_specs)
+            masked = check_relation(relation_id, changed, rhs, mask)
+            assert (masked.verdict is Verdict.PASS) == (row == top)
+            assert report.verdict is Verdict.FAIL
+            problems = report.witness.actual.split("; ")
+            assert ("masked rows are not exact" in problems) == (masked.verdict is not Verdict.PASS)
 
 
 def test_number_identity_unmasked():

@@ -204,6 +204,8 @@ def test_numeric_grid_matches_dense_reference():
     specs = grid_specs(3, (5, 5), 6)
     reports = numeric_suite(3, (5, 5), single_dim=6)
     assert [r.relation_id for r in reports] == [f"{s.relation_id} @ numeric-grid" for s in specs]
+    # the suite shares one evaluation per distinct entry; residuals are bit-identical alone
+    assert reports == [numeric_relation_report(spec) for spec in specs]
     cases = list(zip(specs, reports))
     for spec in specs:
         everywhere = range(spec.lhs.dim)
@@ -224,8 +226,10 @@ def test_numeric_grid_matches_dense_reference():
         assert math.isclose(report.max_residual, worst, rel_tol=1e-12), spec.relation_id
         verdicts[ok, worst > 0] += 1
     assert verdicts[True, False] and verdicts[True, True] and verdicts[False, True]
-    with pytest.raises(ValueError):
-        numeric_relation_report(specs[0], nus=(-0.6,))
+    memo = {}
+    with pytest.raises(ValueError):  # every nu is checked before any entry is evaluated
+        numeric_relation_report(specs[0], nus=(0.5, -0.6), memo=memo)
+    assert memo == {}
 
 
 def test_block_extraction_asymmetric_ambient():

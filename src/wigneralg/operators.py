@@ -424,16 +424,23 @@ def check_specs(
     return reports
 
 
+def _require_grid(nus: Sequence[float]) -> None:
+    if not nus:
+        raise ValueError("the numeric grid needs at least one nu")
+    for nu in nus:
+        if not (math.isfinite(nu) and nu > -0.5):
+            raise ValueError(f"numeric evaluation needs finite nu > -1/2, got {nu}")
+
+
 def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
-    """Dense entrywise numeric evaluation; requires nu > -1/2.
+    """Dense entrywise numeric evaluation; requires a finite nu > -1/2.
 
     Public API and the dense reference the tests hold the numeric grid to;
     the audits themselves evaluate stored entries only and never load numpy.
     """
     import numpy as np  # only this dense view needs numpy; keeps start-up light
 
-    if nu <= -0.5:
-        raise ValueError("numeric evaluation needs nu > -1/2")
+    _require_grid((nu,))
     out = np.zeros((a.dim, a.dim), dtype=complex)
     for i, row in enumerate(a.row_nonzeros()):
         for j, value in row:
@@ -446,12 +453,12 @@ def numeric_relation_report(
 ) -> AlgebraReport:
     """Frobenius-norm residual of lhs - rhs over a nu grid, masked rows only.
 
-    Each distinct stored entry is evaluated once on the whole grid, into
-    ``memo`` (entry -> values on ``nus``, shareable by reports on one grid);
-    the residual at each nu sums |lhs - rhs|^2 over the stored columns.
+    The grid must be nonempty, each nu finite and > -1/2.  Each distinct
+    stored entry is evaluated once on the whole grid, into ``memo`` (entry ->
+    values on ``nus``, shareable by reports on one grid); the residual at each
+    nu sums |lhs - rhs|^2 over the stored columns, row by row.
     """
-    if any(nu <= -0.5 for nu in nus):
-        raise ValueError("numeric evaluation needs nu > -1/2")
+    _require_grid(nus)
     memo = {} if memo is None else memo
 
     def on_grid(row):
@@ -462,23 +469,31 @@ def numeric_relation_report(
 
     rows = range(spec.lhs.dim) if spec.mask is None else sorted(spec.mask)
     lhs_nz, rhs_nz = spec.lhs.row_nonzeros(), spec.rhs.row_nonzeros()
-    lefts = [on_grid(lhs_nz[i]) for i in rows]
-    # equal canonical rows evaluate alike
-    sides = [(left, left if rhs_nz[i] == lhs_nz[i] else on_grid(rhs_nz[i])) for i, left in zip(rows, lefts)]
+    grid = range(len(nus))
+    diff_sq = [0.0] * len(nus)
+    lhs_sq = [0.0] * len(nus)
+    for i in rows:
+        lrow, rrow = lhs_nz[i], rhs_nz[i]
+        if not lrow and not rrow:
+            continue
+        left_row = on_grid(lrow)
+        # equal canonical rows evaluate alike and add only exact zeros to diff_sq
+        if lrow != rrow:
+            right_row = on_grid(rrow)
+            for k in grid:
+                left = {j: values[k] for j, values in left_row}
+                right = {j: values[k] for j, values in right_row}
+                for j in left.keys() | right.keys():
+                    d = left.get(j, 0j) - right.get(j, 0j)
+                    diff_sq[k] += d.real * d.real + d.imag * d.imag
+        for k, column in enumerate(zip(*[values for _, values in left_row])):
+            lhs_sq[k] += sum([z.real * z.real + z.imag * z.imag for z in column])
     worst = 0.0
     ok = True
-    for k in range(len(nus)):
-        diff_sq = lhs_sq = 0.0
-        for left_row, right_row in sides:
-            left = {j: values[k] for j, values in left_row}
-            right = left if right_row is left_row else {j: values[k] for j, values in right_row}
-            for j in left.keys() | right.keys():
-                d = left.get(j, 0j) - right.get(j, 0j)
-                diff_sq += d.real * d.real + d.imag * d.imag
-            lhs_sq += sum(z.real * z.real + z.imag * z.imag for z in left.values())
-        residual = math.sqrt(diff_sq)
+    for k in grid:
+        residual = math.sqrt(diff_sq[k])
         worst = max(worst, residual)
-        if residual > tol * (1.0 + math.sqrt(lhs_sq)):
+        if residual > tol * (1.0 + math.sqrt(lhs_sq[k])):
             ok = False
     return AlgebraReport(
         f"{spec.relation_id} @ numeric-grid",

@@ -435,6 +435,7 @@ def _poly(re: Tuple[int, ...], im: Tuple[int, ...], den: int) -> NuPolynomial:
 
 P_ZERO = _poly((), (), 1)
 P_ONE = _poly((1,), (), 1)
+P_MINUS_ONE = _poly((-1,), (), 1)
 P_NU = _poly((0, 1), (), 1)
 P_TWO_NU = _poly((0, 2), (), 1)
 P_I = _poly((0,), (1,), 1)
@@ -590,6 +591,10 @@ class RadicalSum:
     def from_polynomial(p: NuPolynomial) -> "RadicalSum":
         if p.is_zero:
             return R_ZERO
+        if p == P_ONE:
+            return R_ONE
+        if p == P_MINUS_ONE:
+            return R_MINUS_ONE
         return RadicalSum(((p, P_ONE),))
 
     @staticmethod
@@ -649,12 +654,16 @@ class RadicalSum:
     def __neg__(self) -> "RadicalSum":
         if not self.terms:
             return self
+        if self is R_ONE:
+            return R_MINUS_ONE
+        if self is R_MINUS_ONE:
+            return R_ONE
         return RadicalSum(tuple([(-c, r) for c, r in self.terms]))
 
     def __mul__(self, other) -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             other = RadicalSum.coerce(other)
-        # the shared units: every other value equal to 1 or -1 takes the general path
+        # the shared units; values equal to 1 or -1 built elsewhere take the general path
         if self is R_ONE:
             return other
         if other is R_ONE:
@@ -711,7 +720,7 @@ class RadicalSum:
 
 R_ZERO = RadicalSum()
 R_ONE = RadicalSum(((P_ONE, P_ONE),))
-R_MINUS_ONE = RadicalSum(((_poly((-1,), (), 1), P_ONE),))
+R_MINUS_ONE = RadicalSum(((P_MINUS_ONE, P_ONE),))
 
 
 ########################################################################
@@ -766,41 +775,58 @@ def radical_values_equal(a: RadicalSum, b: RadicalSum, tol: float = ZERO_TOL):
 ########################################################################
 
 
+_PAIR_ID = "numbers: [n]+[n+1]=2n+1+2nu and [n+2]-[n]=2 (n={n})"
+_CROSS_ID = "numbers: [m][n+1]-[n][m+1] closed and piecewise forms (m={m},n={n})"
+
+
+def _pair_failure(n: int, dn: NuPolynomial, dn1: NuPolynomial, dn2: NuPolynomial):
+    """:func:`check_pair_identities` (n) if it fails, else None; dn, dn1, dn2 are [n], [n+1], [n+2]."""
+    for lhs, rhs in ((dn + dn1, _poly((2 * n + 1, 2), (), 1)), (dn2 - dn, _poly((2,), (), 1))):
+        if lhs != rhs:
+            return exact_report(_PAIR_ID.format(n=n), Witness(n, 0, str(rhs), str(lhs)))
+    return None
+
+
 def check_pair_identities(n: int) -> AlgebraReport:
     """[n] + [n+1] = 2n+1+2nu  and  [n+2] - [n] = 2, exactly."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pairs = (
-        (deformed_number(n) + deformed_number(n + 1), NuPolynomial.from_coeffs([2 * n + 1, 2])),
-        (deformed_number(n + 2) - deformed_number(n), NuPolynomial.constant(2)),
-    )
-    return exact_report(
-        f"numbers: [n]+[n+1]=2n+1+2nu and [n+2]-[n]=2 (n={n})",
-        next((Witness(n, 0, str(rhs), str(lhs)) for lhs, rhs in pairs if lhs != rhs), None),
-    )
+    failure = _pair_failure(n, *(deformed_number(k) for k in range(n, n + 3)))
+    return failure or exact_report(_PAIR_ID.format(n=n))
 
 
 def _cross_identity_closed_form(m: int, n: int) -> NuPolynomial:
-    sm = parity(m).sign
-    sn = parity(n).sign
-    return NuPolynomial.from_coeffs(
-        [
-            m - n,
-            -(2 * n + 1) * sm + (2 * m + 1) * sn,
-            -2 * (sm - sn),
-        ]
-    )
+    sm = 1 - 2 * (m & 1)
+    sn = 1 - 2 * (n & 1)
+    return _stripped([m - n, -(2 * n + 1) * sm + (2 * m + 1) * sn, -2 * (sm - sn)], [], 1)
 
 
 def _cross_identity_piecewise(m: int, n: int) -> NuPolynomial:
-    pm, pn = parity(m), parity(n)
-    if pn is ParityClass.EVEN and pm is ParityClass.EVEN:
-        return NuPolynomial.from_coeffs([m - n, 2 * (m - n)])
-    if pn is ParityClass.EVEN and pm is ParityClass.ODD:
-        return NuPolynomial.from_coeffs([m - n, 2 * (m + n + 1), 4])
-    if pn is ParityClass.ODD and pm is ParityClass.EVEN:
-        return NuPolynomial.from_coeffs([m - n, -2 * (m + n + 1), -4])
-    return NuPolynomial.from_coeffs([m - n, -2 * (m - n)])
+    if not n & 1:
+        if not m & 1:
+            return _stripped([m - n, 2 * (m - n)], [], 1)
+        return _stripped([m - n, 2 * (m + n + 1), 4], [], 1)
+    if not m & 1:
+        return _stripped([m - n, -2 * (m + n + 1), -4], [], 1)
+    return _stripped([m - n, -2 * (m - n)], [], 1)
+
+
+def _cross_failure(m: int, n: int, dm: NuPolynomial, dm1: NuPolynomial, dn: NuPolynomial, dn1: NuPolynomial):
+    """:func:`check_cross_identity` (m, n) if it fails, else None.
+
+    dm, dm1, dn, dn1 are [m], [m+1], [n], [n+1].
+    """
+    direct = dm * dn1 - dn * dm1
+    forms = (("closed form", _cross_identity_closed_form), ("piecewise form", _cross_identity_piecewise))
+    for name, form in forms:
+        candidate = form(m, n)
+        if direct != candidate:
+            return exact_report(
+                _CROSS_ID.format(m=m, n=n),
+                Witness(m, n, str(candidate), str(direct)),
+                f"{name} disagrees with the direct expansion",
+            )
+    return None
 
 
 def check_cross_identity(m: int, n: int) -> AlgebraReport:
@@ -811,18 +837,5 @@ def check_cross_identity(m: int, n: int) -> AlgebraReport:
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    relation_id = f"numbers: [m][n+1]-[n][m+1] closed and piecewise forms (m={m},n={n})"
-    direct = deformed_number(m) * deformed_number(n + 1) - deformed_number(n) * deformed_number(
-        m + 1
-    )
-    for name, candidate in (
-        ("closed form", _cross_identity_closed_form(m, n)),
-        ("piecewise form", _cross_identity_piecewise(m, n)),
-    ):
-        if direct != candidate:
-            return exact_report(
-                relation_id,
-                Witness(m, n, str(candidate), str(direct)),
-                f"{name} disagrees with the direct expansion",
-            )
-    return exact_report(relation_id)
+    failure = _cross_failure(m, n, *(deformed_number(k) for k in (m, m + 1, n, n + 1)))
+    return failure or exact_report(_CROSS_ID.format(m=m, n=n))

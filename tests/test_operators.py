@@ -213,8 +213,9 @@ def test_sparse_operations_match_dense_reference(data):
     db = _cells(data, dim, like=da)
     dc = _cells(data, dim2)
     # the shared units take the scalar short-cut; values equal to them that are
-    # other objects take the general path
-    units = st.sampled_from([R_ONE, R_MINUS_ONE, -R_ONE, -R_MINUS_ONE, RadicalSum.coerce(1)])
+    # other objects (built from their terms) take the general path
+    fresh = [RadicalSum(R_ONE.terms), RadicalSum(R_MINUS_ONE.terms)]
+    units = st.sampled_from([R_ONE, R_MINUS_ONE, -R_ONE, -R_MINUS_ONE, RadicalSum.coerce(1), *fresh])
     factor = data.draw(st.one_of(cell_st, units), label="factor")
     a, b, c = _from_dense(basis, da), _from_dense(basis, db), _from_dense(fock_basis(dim2), dc)
     span = range(dim)

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from wigneralg.errors import NegativeRadicandError
 from wigneralg.reports import Verdict
+from wigneralg.single_mode import build_single_mode
 from wigneralg.scalars import (
     GaussianRational,
     NuPolynomial,
+    P_ONE,
     ParityClass,
     R_MINUS_ONE,
+    R_ONE,
     RadicalSum,
     _canonical_radicand,
     _radicand_sort_key,
@@ -237,6 +240,21 @@ def test_radical_ring_axioms(a, b, c, shared):
         for p in (a, x):
             assert unit * p == p * unit == term_product_reference(unit, p)
     assert RadicalSum.one() * a == a and -RadicalSum.one() * a == -a
+
+
+def test_values_equal_to_plus_minus_one_are_the_shared_objects():
+    assert RadicalSum.from_polynomial(P_ONE) is R_ONE
+    assert RadicalSum.from_polynomial(-P_ONE) is R_MINUS_ONE
+    assert RadicalSum.coerce(1) is R_ONE and RadicalSum.coerce(-1) is R_MINUS_ONE
+    assert -R_ONE is R_MINUS_ONE and -R_MINUS_ONE is R_ONE
+    assert R_MINUS_ONE * R_MINUS_ONE is R_ONE
+    assert build_single_mode(4).n_op.entry(1, 1) is R_ONE
+    # other constants, and equal values built from terms, stay their own objects
+    assert RadicalSum.from_polynomial(poly(1, 0, 0)) is R_ONE
+    assert RadicalSum.from_polynomial(poly(Fraction(1, 2))).terms == ((poly(Fraction(1, 2)), P_ONE),)
+    assert RadicalSum.from_polynomial(poly(0, 1)).terms == ((poly(0, 1), P_ONE),)
+    fresh = RadicalSum(R_ONE.terms)
+    assert fresh == R_ONE and fresh is not R_ONE and -fresh == R_MINUS_ONE
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wigneralg import scalars
 from wigneralg.operators import (
     NU_GRID,
     OperatorMatrix,
+    RelationSpec,
     check_relation,
     commutator,
     eval_matrix,
@@ -18,7 +20,14 @@ from wigneralg.operators import (
     tensor,
 )
 from wigneralg.reports import AlgebraReport, CheckMode, Verdict, Witness
-from wigneralg.scalars import NuPolynomial, RadicalSum, deformed_number
+from wigneralg.scalars import (
+    NuPolynomial,
+    RadicalSum,
+    check_cross_identity,
+    check_pair_identities,
+    deformed_number,
+    numeric_eval,
+)
 from wigneralg.single_mode import build_single_mode, single_mode_relation_specs
 from wigneralg.spin import (
     build_hp_rep,
@@ -90,6 +99,54 @@ def test_numeric_verified_fallback_surfaces_in_reports():
     assert out.mode is CheckMode.MIXED
     assert "numeric-verified" in out.caveat
     assert out.max_residual <= 1e-12
+
+
+def as_dicts(reports):
+    """as_dict() of each report, NaN residuals replaced so that NaN compares equal to NaN."""
+    out = []
+    for r in reports:
+        d = r.as_dict()
+        if math.isnan(d["max_residual"]):
+            d["max_residual"] = None
+        out.append(d)
+    return out
+
+
+def composed_number_suite(max_n):
+    """number_suite as the aggregate of the public per-instance checks."""
+    ns = range(max_n + 1)
+    return [
+        aggregate(
+            f"numbers: [n]+[n+1] = 2n+1+2nu and [n+2]-[n] = 2 (n <= {max_n})",
+            [check_pair_identities(n) for n in ns],
+        ),
+        aggregate(
+            f"numbers: [m][n+1]-[n][m+1] closed and piecewise forms agree (m,n <= {max_n})",
+            [check_cross_identity(m, n) for m in ns for n in ns],
+        ),
+    ]
+
+
+def test_number_suite_matches_public_checks(monkeypatch):
+    for max_n in (0, 1, 12):
+        assert as_dicts(number_suite(max_n)) == as_dicts(composed_number_suite(max_n))
+    piecewise = scalars._cross_identity_piecewise
+    # a wrong piecewise form at the first instance, then at one in the middle:
+    # aggregate's max over the NaN residual of the failure depends on its place
+    for bad in ((0, 0), (5, 8)):
+        def wrong(m, n, bad=bad):
+            form = piecewise(m, n)
+            return form + NuPolynomial.constant(1) if (m, n) == bad else form
+
+        monkeypatch.setattr(scalars, "_cross_identity_piecewise", wrong)
+        suite = number_suite(12)
+        assert suite[1].verdict is Verdict.FAIL
+        assert (suite[1].witness.row, suite[1].witness.col) == bad
+        assert "piecewise form" in suite[1].caveat
+        assert math.isnan(suite[1].max_residual) is (bad == (0, 0))
+        assert as_dicts(suite) == as_dicts(composed_number_suite(12))
+    monkeypatch.setattr(scalars, "_cross_identity_piecewise", piecewise)
+    assert number_suite(12)[1].verdict is Verdict.PASS
 
 
 def test_suites_all_green_small():
@@ -200,6 +257,21 @@ def diagonal(basis, rows, value):
     return OperatorMatrix.from_entries(basis, {(i, i): RadicalSum.coerce(value) for i in rows})
 
 
+def bumped_specs(specs):
+    """Each spec with its rhs changed so the grid must fail, pass with a residual, or not look."""
+    out = []
+    for spec in specs:
+        everywhere = range(spec.lhs.dim)
+        # a 1e-3 shift fails; a 1e-14 one passes with a nonzero residual
+        for shift in (Fraction(1, 10**3), Fraction(1, 10**14)):
+            out.append(spec._replace(rhs=spec.rhs + diagonal(spec.rhs.basis, everywhere, shift)))
+        if spec.mask is not None:
+            # rows outside the mask are not compared: a change there passes
+            hidden = set(everywhere) - set(spec.mask)
+            out.append(spec._replace(rhs=spec.rhs + diagonal(spec.rhs.basis, hidden, 1)))
+    return out
+
+
 def test_numeric_grid_matches_dense_reference():
     specs = grid_specs(3, (5, 5), 6)
     reports = numeric_suite(3, (5, 5), single_dim=6)
@@ -207,17 +279,7 @@ def test_numeric_grid_matches_dense_reference():
     # the suite shares one evaluation per distinct entry; residuals are bit-identical alone
     assert reports == [numeric_relation_report(spec) for spec in specs]
     cases = list(zip(specs, reports))
-    for spec in specs:
-        everywhere = range(spec.lhs.dim)
-        # a 1e-3 shift fails; a 1e-14 one passes with a nonzero residual
-        for shift in (Fraction(1, 10**3), Fraction(1, 10**14)):
-            bumped = spec._replace(rhs=spec.rhs + diagonal(spec.rhs.basis, everywhere, shift))
-            cases.append((bumped, numeric_relation_report(bumped)))
-        if spec.mask is not None:
-            # rows outside the mask are not compared: a change there passes
-            hidden = set(everywhere) - set(spec.mask)
-            bumped = spec._replace(rhs=spec.rhs + diagonal(spec.rhs.basis, hidden, 1))
-            cases.append((bumped, numeric_relation_report(bumped)))
+    cases += [(bumped, numeric_relation_report(bumped)) for bumped in bumped_specs(specs)]
     assert sum(spec.mask is not None for spec in specs) >= 6
     verdicts = Counter()
     for spec, report in cases:
@@ -230,6 +292,83 @@ def test_numeric_grid_matches_dense_reference():
     with pytest.raises(ValueError):  # every nu is checked before any entry is evaluated
         numeric_relation_report(specs[0], nus=(0.5, -0.6), memo=memo)
     assert memo == {}
+
+
+def reference_grid_residual(spec, nus=NU_GRID, tol=1e-12):
+    """The grid's residual loop as first written, one dict per row per nu.
+
+    Returns (passes, worst residual, |lhs| at each nu).
+    """
+    rows = range(spec.lhs.dim) if spec.mask is None else sorted(spec.mask)
+    lhs_nz, rhs_nz = spec.lhs.row_nonzeros(), spec.rhs.row_nonzeros()
+
+    def on_grid(row):
+        return [(j, tuple([numeric_eval(value, nu) for nu in nus])) for j, value in row]
+
+    lefts = [on_grid(lhs_nz[i]) for i in rows]
+    sides = [(left, left if rhs_nz[i] == lhs_nz[i] else on_grid(rhs_nz[i])) for i, left in zip(rows, lefts)]
+    worst = 0.0
+    ok = True
+    norms = []
+    for k in range(len(nus)):
+        diff_sq = lhs_sq = 0.0
+        for left_row, right_row in sides:
+            left = {j: values[k] for j, values in left_row}
+            right = left if right_row is left_row else {j: values[k] for j, values in right_row}
+            for j in left.keys() | right.keys():
+                d = left.get(j, 0j) - right.get(j, 0j)
+                diff_sq += d.real * d.real + d.imag * d.imag
+            lhs_sq += sum(z.real * z.real + z.imag * z.imag for z in left.values())
+        residual = math.sqrt(diff_sq)
+        worst = max(worst, residual)
+        norms.append(math.sqrt(lhs_sq))
+        if residual > tol * (1.0 + math.sqrt(lhs_sq)):
+            ok = False
+    return ok, worst, norms
+
+
+def test_numeric_grid_residuals_are_bit_identical_to_reference():
+    specs = grid_specs(8, (10, 10), 12)  # the grid verify runs at its defaults
+    assert len(specs) == 113
+    cases = specs + bumped_specs(grid_specs(3, (5, 5), 6))
+    memo = {}
+    for spec in cases:
+        ok, worst, _ = reference_grid_residual(spec)
+        for report in (numeric_relation_report(spec), numeric_relation_report(spec, memo=memo)):
+            assert report.max_residual == worst, spec.relation_id
+            assert report.verdict is (Verdict.PASS if ok else Verdict.FAIL), spec.relation_id
+    nus = (0.3, 7.0, 0.0)  # another grid, in another order
+    for spec in specs[::7]:
+        ok, worst, _ = reference_grid_residual(spec, nus)
+        report = numeric_relation_report(spec, nus)
+        assert (report.max_residual, report.verdict is Verdict.PASS) == (worst, ok)
+    # at a tolerance where the residual meets its bound, the verdict reads |lhs| to the last bit
+    edges = 0
+    for spec in cases[len(specs) :: 3]:
+        for nu in NU_GRID:
+            _, residual, (norm,) = reference_grid_residual(spec, (nu,))
+            edge = residual / (1.0 + norm)
+            for tol in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)):
+                ok, _, _ = reference_grid_residual(spec, (nu,), tol)
+                edges += not ok
+                assert numeric_relation_report(spec, (nu,), tol).passed is ok, spec.relation_id
+    assert edges
+
+
+def test_numeric_grid_refuses_nan_infinite_and_empty_grids():
+    s = build_single_mode(4)
+    specs = single_mode_relation_specs(s)
+    bad = RelationSpec("bad", *specs[0][1:3])  # [a,adag] unmasked: the top row differs by -[dim]
+    out = numeric_relation_report(bad)
+    assert out.verdict is Verdict.FAIL and out.max_residual == 4.0
+    for nus in ((math.nan,), (math.inf,), (), (0.5, -math.inf), (0.5, math.nan), (-0.5,)):
+        memo = {}
+        with pytest.raises(ValueError):
+            numeric_relation_report(bad, nus=nus, memo=memo)
+        assert memo == {}
+    for nu in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError):
+            eval_matrix(s.a, nu)
 
 
 def test_block_extraction_asymmetric_ambient():

@@ -651,19 +651,16 @@ def errata_findings() -> List[ErratumFinding]:
     Each finding re-runs both the printed and the corrected form so the
     output always reflects live computation, never a transcription.
     """
+    # the derived sides are the ones the audits check
     odd_reps = [build_js_spin_rep(two_j) for two_j in (1, 3, 5, 7)]
-    odd_brackets = [commutator(r.j_plus, r.j_minus) for r in odd_reps]
-    rep1, bracket1 = odd_reps[0], odd_brackets[0]
+    odd_brackets = [condensed_relation_specs(r)[-1] for r in odd_reps]
+    rep1, bracket1 = odd_reps[0], odd_brackets[0].lhs
     printed_odd1 = _odd_bracket_rhs(rep1, doubled_j=False)
-    derived_odd = check_specs(
-        RelationSpec(ODD_BRACKET_ID, bracket, _odd_bracket_rhs(r, doubled_j=True))
-        for r, bracket in zip(odd_reps, odd_brackets)
-    )
+    derived_odd = check_specs(odd_brackets)
     rep2 = build_js_spin_rep(2)
-    bracket2 = commutator(rep2.j_plus, rep2.j_minus)
-    identity2 = OperatorMatrix.identity(rep2.basis)
+    _, bracket2, computed2, _ = condensed_relation_specs(rep2)[-1]
     so3 = build_so_nu3(2)
-    so3_bracket = commutator(so3.l_x, so3.l_y)
+    _, so3_bracket, so3_derived, _ = so_nu3_relation_specs(so3)[2]
     # (name, printed, computed, detail, printed spec, derived check)
     table = [
         (
@@ -707,13 +704,9 @@ def errata_findings() -> List[ErratumFinding]:
             RelationSpec(
                 "j=1: [L+,L-] = 2 L_z (1 + 2nu L_z) with R_J = L_z (printed)",
                 bracket2,
-                (rep2.j0 @ (identity2 + rep2.j0.scale(P_TWO_NU))).scale(2),
+                (rep2.j0 @ (OperatorMatrix.identity(rep2.basis) + rep2.j0.scale(P_TWO_NU))).scale(2),
             ),
-            check_relation(
-                "j=1: [J+,J-] = 2 J0 (1 + 2nu R_J) (computed)",
-                bracket2,
-                (rep2.j0 @ (identity2 + rep2.r_j.scale(P_TWO_NU))).scale(2),
-            ),
+            check_relation("j=1: [J+,J-] = 2 J0 (1 + 2nu R_J) (computed)", bracket2, computed2),
         ),
         (
             "so(3) bracket scale",
@@ -729,9 +722,7 @@ def errata_findings() -> List[ErratumFinding]:
                 + so3.p_op.scale(P_TWO_NU)
                 + so3.k_op.scale(P_TWO_NU * NuPolynomial.from_coeffs([1, 2])),
             ),
-            check_relation(
-                "[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K) (derived)", so3_bracket, _so3_bracket_rhs(so3)
-            ),
+            check_relation("[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K) (derived)", so3_bracket, so3_derived),
         ),
     ]
     return [

@@ -6,7 +6,7 @@ so a full run reads as one verdict line per identity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import OddTwoJNotClosedError
 from .operators import build_now, check_relation, check_specs, numeric_relation_report
@@ -40,16 +40,22 @@ class RunMemo:
     Builders take sizes, keyed by value; spec functions take families, keyed
     by identity and kept alive with the result, so no identity is reused.
     Keywords only hand this hook down, so they are not part of the key.
+    While ``keep`` is None every result is stored; once it is a set, only
+    results of the functions in it are, and the rest live as long as their
+    caller holds them.
     """
 
     def __init__(self) -> None:
         self._results: Dict[tuple, tuple] = {}
+        self.keep: Optional[set] = None
 
     def __call__(self, fn, *args, **hooks):
         key = (fn, *(a if type(a) is int else id(a) for a in args))
         hit = self._results.get(key)
         if hit is None:
-            hit = self._results[key] = (args, fn(*args, **hooks))
+            hit = (args, fn(*args, **hooks))
+            if self.keep is None or fn in self.keep:
+                self._results[key] = hit
         return hit[1]
 
 
@@ -111,8 +117,9 @@ def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, build=build_now) -
     defects = []
     for dim in range(min_dim, max_dim + 1):
         s = build(build_single_mode, dim)
-        per_dim.append(check_specs(build(single_mode_relation_specs, s)))
-        defects.append(truncation_defect_report(s, build=build))
+        specs = build(single_mode_relation_specs, s)
+        per_dim.append(check_specs(specs))
+        defects.append(truncation_defect_report(s, build=lambda fn, family: specs))
     out = _group_by_suffix(per_dim, f"(dims {min_dim}..{max_dim})")
     out.append(
         aggregate(
@@ -156,7 +163,8 @@ def block_extraction_suite(
     ambient = build(build_two_mode, d1, d2, build=build)
     composites = js_composites(ambient)
     reports = []
-    for two_j in range(1, min(max_two_j, d1 - 1, d2 - 1) + 1):
+    top = min(max_two_j, d1 - 1, d2 - 1)
+    for two_j in range(1, top + 1):
         extracted = cut_js_block(ambient, composites, two_j)
         closed = build(build_js_spin_rep, two_j)
         for name in ("j_plus", "j_minus", "j0", "p_op", "k_op", "q_op", "r_j"):
@@ -169,7 +177,7 @@ def block_extraction_suite(
             )
     return [
         aggregate(
-            f"two-mode block extraction equals the closed-form rep (two_j <= {max_two_j})",
+            f"two-mode block extraction equals the closed-form rep (two_j <= {top})",
             reports,
         )
     ]
@@ -214,8 +222,9 @@ def numeric_suite(
 ) -> List[AlgebraReport]:
     """Grid-sampled residual checks on the specs the exact audits check.
 
-    Every family's specs stay alive until the grid is done; under
-    :func:`verify_all` they are the very spec lists its exact sections checked.
+    Every family's specs stay alive until the grid is done. :func:`verify_all`
+    runs the grid first, so its memo stores these families and spec lists and
+    the exact sections check the very same ones.
     """
     families = [
         build(single_mode_relation_specs, build(build_single_mode, single_dim)),
@@ -247,8 +256,13 @@ def verify_all(
     """Every audited relation family, grouped by section, deterministic order.
 
     One :class:`RunMemo` builds each family and spec list once for all sections.
+    The numeric grid runs first and everything it builds is kept; after it the
+    memo keeps only JS spin reps and single-mode sets, which several sections
+    re-read. Any other family or spec list lives only inside its section.
     """
     build = RunMemo()
+    grid = numeric_suite(max_two_j, dims, build=build)
+    build.keep = {build_js_spin_rep, build_single_mode}
     return {
         "deformed-numbers": number_suite(max_number),
         "single-mode": single_mode_suite(2, max_single_dim, build=build),
@@ -261,5 +275,5 @@ def verify_all(
             tuple(j for j in range(2, max_two_j + 1, 2)), (1, 3), build=build
         ),
         "so_nu3": so3_suite(min(max_two_j, 6), build=build),
-        "numeric-grid": numeric_suite(max_two_j, dims, build=build),
+        "numeric-grid": grid,
     }

@@ -1,13 +1,15 @@
+import gc
 import math
 import sys
 import types
+import weakref
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wigneralg import scalars
+from wigneralg import scalars, suites
 from wigneralg.operators import (
     NU_GRID,
     OperatorMatrix,
@@ -187,11 +189,13 @@ def test_verify_all_builds_each_family_once(monkeypatch):
         condensed_relation_specs, so_nu3_relation_specs, so_nu3_condensed_specs, hp_relation_specs,
     )
     calls = Counter()
+    seen_args = []  # keeps every counted family alive, so no id is reused
     single_modes = []  # every single-mode family, as built
     brackets = Counter()  # [a, adag] computations per single-mode family
 
     def counting(fn):
         def wrapper(*args, **kwargs):
+            seen_args.append(args)
             calls[(fn.__name__, *(a if type(a) is int else id(a) for a in args))] += 1
             result = fn(*args, **kwargs)
             if fn is build_single_mode:
@@ -224,6 +228,53 @@ def test_verify_all_builds_each_family_once(monkeypatch):
     # the truncation defect reads the bracket from the family's specs
     assert sorted(s.dim for s in single_modes) == [2, 3, 4, 5, 6, 12]
     assert brackets == {dim: 1 for dim in (2, 3, 4, 5, 6, 12)}
+
+
+def test_verify_all_releases_spec_lists_no_later_section_reads(monkeypatch):
+    # only the numeric grid's spin families (2j in {5, 6}) keep their spec
+    # lists past the section that checked them
+    class SpecList(list):
+        pass
+
+    made = []  # (spec function, two_j, weakref to the returned list)
+
+    def tracking(fn):
+        def wrapper(rep):
+            specs = SpecList(fn(rep))
+            made.append((fn.__name__, rep.two_j, weakref.ref(specs)))
+            return specs
+
+        return wrapper
+
+    wrappers = {fn: tracking(fn) for fn in (su_nu2_relation_specs, condensed_relation_specs)}
+    for name, module in list(sys.modules.items()):
+        if name == "wigneralg" or name.startswith("wigneralg."):
+            for attr, value in list(vars(module).items()):
+                if isinstance(value, types.FunctionType) and value in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[value])
+    alive = []
+
+    def probing_so3_suite(*args, **kwargs):
+        gc.collect()
+        alive.extend(sorted((fn, two_j) for fn, two_j, ref in made if ref() is not None))
+        return so3_suite(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "so3_suite", probing_so3_suite)
+    verify_all(max_two_j=6, dims=(5, 5), max_n=4, max_number=8, max_single_dim=6)
+    assert {two_j for _, two_j, _ in made} == set(range(1, 7))
+    assert alive == [
+        ("condensed_relation_specs", 5),
+        ("condensed_relation_specs", 6),
+        ("su_nu2_relation_specs", 5),
+        ("su_nu2_relation_specs", 6),
+    ]
+
+
+def test_block_extraction_label_names_the_range_checked():
+    # the ambient 4 x 4 set holds blocks up to 2j = 3 only
+    (report,) = block_extraction_suite(6, 4, 4)
+    assert report.relation_id == "two-mode block extraction equals the closed-form rep (two_j <= 3)"
+    assert report.passed
 
 
 def grid_specs(max_two_j, dims, single_dim):

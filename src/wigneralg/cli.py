@@ -19,23 +19,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .errors import OddTwoJNotClosedError
-from .operators import OperatorMatrix
 from .reports import AlgebraReport, Verdict
 from .scalars import deformed_number
 from .serialize import csv_rows, dumps, reports_to_list
-from .single_mode import audit_single_mode, build_single_mode
-from .spin import (
-    audit_hp,
-    audit_so_nu3,
-    audit_su_nu2,
-    audit_condensed_forms,
-    build_hp_rep,
-    build_js_spin_rep,
-    build_so_nu3,
-    errata_findings,
-)
-from .suites import verify_all
-from .two_mode import audit_two_mode, build_two_mode
+from .spin import JS_OPERATORS, errata_findings
+from .suites import RELATION_SETS, Run, verify_all
 from .realizations import audit_realizations, build_quasi_basis
 
 ENV_OUTPUT_DIR = "WIGNERALG_OUTPUT_DIR"
@@ -134,26 +122,6 @@ def _emit(text: str, config: RunConfig) -> None:
         stream.write(text)
 
 
-def _emit_operators(
-    config: RunConfig, operators: Dict[str, OperatorMatrix], reports: List[AlgebraReport]
-) -> int:
-    if config.fmt == "csv":
-        nu = config.nu_values[0]
-        with _output(config) as stream:
-            stream.write("operator,row,col,real,imag\n")
-            for name, op in operators.items():
-                stream.write(csv_rows(op, nu, f"{name},"))
-    else:
-        payload = {
-            "command": config.command,
-            "nu_domain": "nu > -1/2",
-            "operators": operators,
-            "reports": reports_to_list(reports),
-        }
-        _emit(dumps(payload), config)
-    return _exit_code(reports, config.strict)
-
-
 def _cmd_numbers(config: RunConfig) -> int:
     max_n = config.max_n if config.max_n is not None else 10
     numbers = [deformed_number(n) for n in range(max_n + 1)]
@@ -179,24 +147,6 @@ def _cmd_numbers(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_single_mode(config: RunConfig) -> int:
-    s = build_single_mode(config.dim if config.dim is not None else 6)
-    operators = {"a": s.a, "adag": s.a_dag, "N": s.n_op, "R": s.r_op}
-    return _emit_operators(config, operators, audit_single_mode(s))
-
-
-def _cmd_two_mode(config: RunConfig) -> int:
-    d1, d2 = config.dims if config.dims is not None else (6, 6)
-    s = build_two_mode(d1, d2)
-    operators = {
-        "a1": s.a[0], "a2": s.a[1],
-        "adag1": s.a_dag[0], "adag2": s.a_dag[1],
-        "N1": s.n_op[0], "N2": s.n_op[1],
-        "R1": s.r_op[0], "R2": s.r_op[1],
-    }
-    return _emit_operators(config, operators, audit_two_mode(s))
-
-
 def _cmd_realizations(config: RunConfig) -> int:
     max_n = config.max_n if config.max_n is not None else 8
     basis = build_quasi_basis(max_n + 1)
@@ -212,39 +162,69 @@ def _cmd_realizations(config: RunConfig) -> int:
     return _exit_code(reports, config.strict)
 
 
-def _cmd_spin_rep(config: RunConfig) -> int:
-    rep = build_js_spin_rep(config.two_j)
-    operators = {
-        "J+": rep.j_plus, "J-": rep.j_minus, "J0": rep.j0,
-        "P": rep.p_op, "K": rep.k_op, "Q": rep.q_op, "R_J": rep.r_j,
-    }
-    reports = audit_su_nu2(rep) + audit_condensed_forms(rep)
-    return _emit_operators(config, operators, reports)
+# artifact command -> (family kind, its sizes from the options)
+_ARTIFACTS = {
+    "single-mode": ("single-mode", lambda c: (c.dim if c.dim is not None else 6,)),
+    "two-mode": ("two-mode", lambda c: c.dims if c.dims is not None else (6, 6)),
+    "spin-rep": ("js", lambda c: (c.two_j,)),
+    "hp-rep": ("hp", lambda c: (c.two_j,)),
+    "so3-rep": ("so3", lambda c: (c.two_j,)),
+}
+# family kind -> the operators its export writes, by name, in order
+_EXPORTS = {
+    "single-mode": lambda s: {"a": s.a, "adag": s.a_dag, "N": s.n_op, "R": s.r_op},
+    "two-mode": lambda s: {
+        "a1": s.a[0], "a2": s.a[1],
+        "adag1": s.a_dag[0], "adag2": s.a_dag[1],
+        "N1": s.n_op[0], "N2": s.n_op[1],
+        "R1": s.r_op[0], "R2": s.r_op[1],
+    },
+    "js": lambda r: {name: getattr(r, field) for name, field in JS_OPERATORS.items()},
+    "hp": lambda r: {"J+": r.j_plus, "J-": r.j_minus, "J0": r.j0, "R": r.r_op},
+    "so3": lambda r: {
+        "Lx": r.l_x, "Ly": r.l_y, "Lz": r.l_z,
+        "P": r.p_op, "K": r.k_op, "Q": r.q_op, "R_L": r.r_l,
+    },
+}
 
 
-def _cmd_hp_rep(config: RunConfig) -> int:
+def _cmd_artifact(config: RunConfig) -> int:
+    """Export one family with the audits of every relation set on its kind."""
+    kind, sizes = _ARTIFACTS[config.command]
+    run = Run()
     try:
-        rep = build_hp_rep(config.two_j)
+        family = run.family(kind, *sizes(config))
     except OddTwoJNotClosedError as err:
         payload = {
-            "command": "hp-rep",
+            "command": config.command,
             "error": "odd-two-j-not-closed",
             "two_j": err.two_j,
             "leakage": str(err.leakage),
         }
         _emit(dumps(payload), config)
         return 1
-    operators = {"J+": rep.j_plus, "J-": rep.j_minus, "J0": rep.j0, "R": rep.r_op}
-    return _emit_operators(config, operators, audit_hp(rep))
-
-
-def _cmd_so3_rep(config: RunConfig) -> int:
-    rep = build_so_nu3(config.two_j)
-    operators = {
-        "Lx": rep.l_x, "Ly": rep.l_y, "Lz": rep.l_z,
-        "P": rep.p_op, "K": rep.k_op, "Q": rep.q_op, "R_L": rep.r_l,
-    }
-    return _emit_operators(config, operators, audit_so_nu3(rep))
+    reports = [
+        report
+        for name, row in RELATION_SETS.items()
+        if row.kind == kind
+        for report in run.audit(name, family)
+    ]
+    operators = _EXPORTS[kind](family)
+    if config.fmt == "csv":
+        nu = config.nu_values[0]
+        with _output(config) as stream:
+            stream.write("operator,row,col,real,imag\n")
+            for name, op in operators.items():
+                stream.write(csv_rows(op, nu, f"{name},"))
+    else:
+        payload = {
+            "command": config.command,
+            "nu_domain": "nu > -1/2",
+            "operators": operators,
+            "reports": reports_to_list(reports),
+        }
+        _emit(dumps(payload), config)
+    return _exit_code(reports, config.strict)
 
 
 def _cmd_verify(config: RunConfig) -> int:
@@ -387,14 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "numbers": _cmd_numbers,
-    "single-mode": _cmd_single_mode,
-    "two-mode": _cmd_two_mode,
     "realizations": _cmd_realizations,
-    "spin-rep": _cmd_spin_rep,
-    "hp-rep": _cmd_hp_rep,
-    "so3-rep": _cmd_so3_rep,
     "verify": _cmd_verify,
     "errata": _cmd_errata,
+    **dict.fromkeys(_ARTIFACTS, _cmd_artifact),
 }
 
 

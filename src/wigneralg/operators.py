@@ -21,6 +21,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 NU_GRID = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
+# Largest nu the numeric grid accepts: its bound 1e-12*(1+|lhs|) grows with nu,
+# and from nu = 1e12 it passes the truncation defect -[dim] it must catch.
+MAX_GRID_NU = 1e6
 
 
 ########################################################################
@@ -315,14 +318,6 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
     return OperatorMatrix(basis, _KernelRows(rows))
 
 
-def build_now(builder, *args, **hooks):
-    """The default ``build`` hook: ``builder(*args, **hooks)``, built afresh.
-
-    ``suites.verify_all`` hands down a memo instead, which builds each once per run.
-    """
-    return builder(*args, **hooks)
-
-
 ########################################################################
 #   Relation checks
 ########################################################################
@@ -453,12 +448,15 @@ def numeric_relation_report(
 ) -> AlgebraReport:
     """Frobenius-norm residual of lhs - rhs over a nu grid, masked rows only.
 
-    The grid must be nonempty, each nu finite and > -1/2.  Each distinct
-    stored entry is evaluated once on the whole grid, into ``memo`` (entry ->
-    values on ``nus``, shareable by reports on one grid); the residual at each
-    nu sums |lhs - rhs|^2 over the stored columns, row by row.
+    The grid must be nonempty, each nu finite, > -1/2 and <= MAX_GRID_NU.
+    Each distinct stored entry is evaluated once on the whole grid, into
+    ``memo`` (entry -> values on ``nus``, shareable by reports on one grid);
+    the residual at each nu sums |lhs - rhs|^2 over the stored columns, row by
+    row.
     """
     _require_grid(nus)
+    if max(nus) > MAX_GRID_NU:
+        raise ValueError(f"the numeric grid needs nu <= {MAX_GRID_NU:g}, got {max(nus)}")
     memo = {} if memo is None else memo
 
     def on_grid(row):

@@ -8,14 +8,13 @@ defect there is exactly -[D].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set
+from typing import List, Optional, Set
 
 from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
     anticommutator,
-    build_now,
     check_relation,
     check_specs,
     commutator,
@@ -90,13 +89,16 @@ def audit_single_mode(s: SingleModeSet) -> List[AlgebraReport]:
     return check_specs(single_mode_relation_specs(s))
 
 
-def truncation_defect_report(s: SingleModeSet, *, build=build_now) -> AlgebraReport:
+def truncation_defect_report(
+    s: SingleModeSet, specs: Optional[List[RelationSpec]] = None
+) -> AlgebraReport:
     """Confirm the unmasked bracket fails exactly and only at the top row with defect -[dim].
 
-    The bracket and its right side are the first spec of the family's specs.
+    The bracket and its right side are the first of ``specs``, the family's
+    specs (computed here when not given).
     """
     relation_id = f"[a,adag] truncation defect at row {s.dim - 1} equals -[{s.dim}]"
-    _, bracket, rhs, _ = build(single_mode_relation_specs, s)[0]
+    _, bracket, rhs, _ = (single_mode_relation_specs(s) if specs is None else specs)[0]
     unmasked = check_relation("[a,adag] = 1 + 2nu R (unmasked)", bracket, rhs)
     top = s.dim - 1
     problems = []

@@ -36,7 +36,6 @@ from .operators import (
     RelationSpec,
     _products,
     anticommutator,
-    build_now,
     check_relation,
     check_specs,
     commutator,
@@ -72,6 +71,10 @@ class SuNu2Rep:
     @property
     def basis(self):
         return self.j0.basis
+
+
+# each JS generator's name, as exports and the reference registry write it -> its field
+JS_OPERATORS = {"J+": "j_plus", "J-": "j_minus", "J0": "j0", "P": "p_op", "K": "k_op", "Q": "q_op", "R_J": "r_j"}
 
 
 @dataclass(frozen=True)
@@ -205,16 +208,7 @@ def cut_js_block(s, composites: Dict[str, OperatorMatrix], two_j: int) -> SuNu2R
             if j in block_index
         }
         extracted[name] = OperatorMatrix.from_entries(target, entries)
-    return SuNu2Rep(
-        two_j=two_j,
-        j_plus=extracted["J+"],
-        j_minus=extracted["J-"],
-        j0=extracted["J0"],
-        p_op=extracted["P"],
-        k_op=extracted["K"],
-        q_op=extracted["Q"],
-        r_j=extracted["R_J"],
-    )
+    return SuNu2Rep(two_j, **{field: extracted[name] for name, field in JS_OPERATORS.items()})
 
 
 ########################################################################
@@ -266,8 +260,15 @@ def su_nu2_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     ]
 
 
-def audit_su_nu2(rep: SuNu2Rep, *, build=build_now) -> List[AlgebraReport]:
-    return check_specs(build(su_nu2_relation_specs, rep))
+def _audit(relation_set: str, family) -> List[AlgebraReport]:
+    """Exact checks of one relation set of :data:`suites.RELATION_SETS` on ``family``."""
+    from .suites import Run  # suites imports this module for the rows of its table
+
+    return Run().audit(relation_set, family)
+
+
+def audit_su_nu2(rep: SuNu2Rep) -> List[AlgebraReport]:
+    return _audit("su_nu2", rep)
 
 
 def _odd_bracket_rhs(rep: SuNu2Rep, doubled_j: bool) -> OperatorMatrix:
@@ -304,19 +305,23 @@ def condensed_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     ]
 
 
-def audit_condensed_forms(rep: SuNu2Rep, *, build=build_now) -> List[AlgebraReport]:
-    """Check the condensed identities; the odd bracket carries a caveat.
+def condensed_caveats(rep: SuNu2Rep) -> Dict[str, Caveat]:
+    """The odd bracket's caveat; even 2j has none.
 
     The printed odd coefficient 2nu(2nu+j+1) fails against the representation
     (see :func:`errata_findings`); the audit verifies the derived coefficient
     2nu(2nu+2j+1) and records the discrepancy as a caveat so that non-strict
     runs stay green while strict runs surface it.
     """
-    caveats = {}
-    if rep.two_j % 2 == 1:
-        printed = _odd_bracket_rhs(rep, doubled_j=False)
-        caveats[ODD_BRACKET_ID] = Caveat("printed coefficient 2nu(2nu+j+1) fails", printed)
-    return check_specs(build(condensed_relation_specs, rep), caveats)
+    if rep.two_j % 2 == 0:
+        return {}
+    printed = _odd_bracket_rhs(rep, doubled_j=False)
+    return {ODD_BRACKET_ID: Caveat("printed coefficient 2nu(2nu+j+1) fails", printed)}
+
+
+def audit_condensed_forms(rep: SuNu2Rep) -> List[AlgebraReport]:
+    """Check the condensed identities; the odd bracket carries a caveat."""
+    return _audit("condensed", rep)
 
 
 ########################################################################
@@ -394,10 +399,13 @@ def hp_relation_specs(rep: HPRep) -> List[RelationSpec]:
     ]
 
 
-def audit_hp(rep: HPRep, *, build=build_now) -> List[AlgebraReport]:
+def audit_hp(rep: HPRep) -> List[AlgebraReport]:
     """Exact relation checks plus the spectral match with the even-2j block."""
-    reports = check_specs(build(hp_relation_specs, rep))
-    js = build(build_js_spin_rep, rep.two_j)
+    return _audit("hp", rep)
+
+
+def hp_spectrum_report(rep: HPRep, js: SuNu2Rep) -> AlgebraReport:
+    """Spectral match of the HP bracket [J+,J-] with the JS block's, on the numeric grid."""
     hp_bracket = commutator(rep.j_plus, rep.j_minus)
     js_bracket = commutator(js.j_plus, js.j_minus)
     worst = 0.0
@@ -412,16 +420,13 @@ def audit_hp(rep: HPRep, *, build=build_now) -> List[AlgebraReport]:
         worst = max(worst, gap)
         if gap > 1e-12 * (1.0 + max(abs(z) for z in js_diag)):
             ok = False
-    reports.append(
-        AlgebraReport(
-            "HP: [J+,J-] spectrum matches the even-2j block @ numeric-grid",
-            CheckMode.NUMERIC,
-            worst,
-            Verdict.PASS if ok else Verdict.FAIL,
-            witness=None if ok else Witness(-1, -1, "spectra within 1e-12", f"max gap {worst}"),
-        )
+    return AlgebraReport(
+        "HP: [J+,J-] spectrum matches the even-2j block @ numeric-grid",
+        CheckMode.NUMERIC,
+        worst,
+        Verdict.PASS if ok else Verdict.FAIL,
+        witness=None if ok else Witness(-1, -1, "spectra within 1e-12", f"max gap {worst}"),
     )
-    return reports
 
 
 ########################################################################
@@ -429,12 +434,16 @@ def audit_hp(rep: HPRep, *, build=build_now) -> List[AlgebraReport]:
 ########################################################################
 
 
-def build_so_nu3(two_j: int, *, build=build_now) -> SoNu3Rep:
+def build_so_nu3(two_j: int) -> SoNu3Rep:
     """L_z = J0, L_x = (J+ + J-)/2, L_y = (i/2)(J- - J+)."""
-    js = build(build_js_spin_rep, two_j)
+    return so_nu3_from(build_js_spin_rep(two_j))
+
+
+def so_nu3_from(js: SuNu2Rep) -> SoNu3Rep:
+    """The so_nu(3) rep of :func:`build_so_nu3` from the JS rep at its 2j."""
     half_i = P_I * HALF
     return SoNu3Rep(
-        two_j=two_j,
+        two_j=js.two_j,
         l_x=(js.j_plus + js.j_minus).scale(HALF),
         l_y=(js.j_minus - js.j_plus).scale(half_i),
         l_z=js.j0,
@@ -510,9 +519,15 @@ def so_nu3_condensed_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     return [RelationSpec(SO3_EVEN_BRACKET_ID, bracket, rhs)]
 
 
-def audit_so_nu3(rep: SoNu3Rep, *, build=build_now) -> List[AlgebraReport]:
+def so_nu3_caveats(rep: SoNu3Rep) -> Dict[str, Caveat]:
+    """The i/2 caveat of the bracket and of the condensed bracket of this rep's parity."""
+    condensed = SO3_ODD_BRACKET_ID if rep.two_j % 2 == 1 else SO3_EVEN_BRACKET_ID
+    return {rid: SO3_CAVEATS[rid] for rid in (SO3_BRACKET_ID, condensed)}
+
+
+def audit_so_nu3(rep: SoNu3Rep) -> List[AlgebraReport]:
     """Full deformed-so(3) audit; bracket relations carry the i/2 caveat."""
-    return check_specs(build(so_nu3_relation_specs, rep) + build(so_nu3_condensed_specs, rep), SO3_CAVEATS)
+    return _audit("so_nu3", rep)
 
 
 ########################################################################
@@ -620,17 +635,18 @@ def reference_matrix_registry() -> List[Tuple[str, OperatorMatrix]]:
     return reg
 
 
-_GENERATED_ATTR = {"J0": "j0", "J+": "j_plus", "J-": "j_minus", "R_J": "r_j"}
+# 2j of each spin the reference registry transcribes
+REFERENCE_TWO_J = {"j=1/2": 1, "j=1": 2, "j=3/2": 3, "j=2": 4}
 
 
-def reference_matrix_reports(*, build=build_now) -> List[AlgebraReport]:
-    """Diff every transcribed matrix against the generated representation."""
-    reps = {two_j: build(build_js_spin_rep, two_j) for two_j in (1, 2, 3, 4)}
-    two_j_of = {"j=1/2": 1, "j=1": 2, "j=3/2": 3, "j=2": 4}
+def reference_matrix_reports(reps: Optional[Dict[int, SuNu2Rep]] = None) -> List[AlgebraReport]:
+    """Diff every transcribed matrix against ``reps`` (2j -> JS rep), built here if not given."""
+    if reps is None:
+        reps = {two_j: build_js_spin_rep(two_j) for two_j in REFERENCE_TWO_J.values()}
     reports = []
     for name, printed in reference_matrix_registry():
         spin_name, op_name = (part.strip() for part in name.split(":"))
-        generated = getattr(reps[two_j_of[spin_name]], _GENERATED_ATTR[op_name])
+        generated = getattr(reps[REFERENCE_TWO_J[spin_name]], JS_OPERATORS[op_name])
         reports.append(check_relation(f"reference {name} matches generated", generated, printed))
     return reports
 

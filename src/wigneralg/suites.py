@@ -1,62 +1,128 @@
 """Canned audit sweeps shared by the CLI and the acceptance tests.
 
 Each suite aggregates per-instance checks into one report per relation family
-so a full run reads as one verdict line per identity.
+so a full run reads as one verdict line per identity. Suites, the numeric grid,
+the ``audit_*`` functions and the artifact commands build families and check
+relation sets through one table: :data:`KINDS` and :data:`RELATION_SETS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OddTwoJNotClosedError
-from .operators import build_now, check_relation, check_specs, numeric_relation_report
+from .operators import RelationSpec, check_relation, check_specs, numeric_relation_report
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import _cross_failure, _pair_failure, deformed_number
 from .single_mode import build_single_mode, single_mode_relation_specs, truncation_defect_report
-from .two_mode import audit_two_mode, build_two_mode, two_mode_relation_specs
+from .two_mode import two_mode_from, two_mode_relation_specs
 from .realizations import audit_realizations
 from .spin import (
-    audit_condensed_forms,
-    audit_hp,
-    audit_so_nu3,
-    audit_su_nu2,
+    JS_OPERATORS,
+    REFERENCE_TWO_J,
     build_hp_rep,
     build_js_spin_rep,
-    build_so_nu3,
+    condensed_caveats,
     condensed_relation_specs,
     cut_js_block,
     hp_relation_specs,
+    hp_spectrum_report,
     js_composites,
     reference_matrix_reports,
+    so_nu3_caveats,
     so_nu3_condensed_specs,
+    so_nu3_from,
     so_nu3_relation_specs,
     su_nu2_relation_specs,
 )
 
+# Rows reach builders and spec functions through this module's globals at call
+# time, so code that rebinds those globals (a tracer, a call counter) sees them.
 
-class RunMemo:
-    """A ``build`` hook that computes ``fn(*args, **hooks)`` once per (fn, args).
+# Family kind -> builder(run, *sizes); a builder takes the parts it shares from the run.
+KINDS: Dict[str, Callable] = {
+    "single-mode": lambda run, dim: build_single_mode(dim),
+    "two-mode": lambda run, d1, d2: two_mode_from(run.family("single-mode", d1), run.family("single-mode", d2)),
+    "js": lambda run, two_j: build_js_spin_rep(two_j),
+    "so3": lambda run, two_j: so_nu3_from(run.family("js", two_j)),
+    "hp": lambda run, two_j: build_hp_rep(two_j),
+}
+# The kinds several sections read: a run keeps their families for its whole life.
+SHARED_KINDS = {"single-mode", "two-mode", "js"}
 
-    Builders take sizes, keyed by value; spec functions take families, keyed
-    by identity and kept alive with the result, so no identity is reused.
-    Keywords only hand this hook down, so they are not part of the key.
-    While ``keep`` is None every result is stored; once it is a set, only
-    results of the functions in it are, and the rest live as long as their
-    caller holds them.
+
+class RelationSet(NamedTuple):
+    """Relations on one family kind: their specs, caveats by relation id and further checks.
+
+    ``extra(run, family)`` gives the checks beyond the specs; the grid samples specs only.
     """
 
-    def __init__(self) -> None:
-        self._results: Dict[tuple, tuple] = {}
-        self.keep: Optional[set] = None
+    kind: str
+    specs: Callable
+    caveats: Callable = lambda family: {}
+    extra: Callable = lambda run, family: []
 
-    def __call__(self, fn, *args, **hooks):
-        key = (fn, *(a if type(a) is int else id(a) for a in args))
-        hit = self._results.get(key)
-        if hit is None:
-            hit = (args, fn(*args, **hooks))
-            if self.keep is None or fn in self.keep:
-                self._results[key] = hit
-        return hit[1]
+
+RELATION_SETS: Dict[str, RelationSet] = {
+    "single-mode": RelationSet("single-mode", lambda s: single_mode_relation_specs(s)),
+    "two-mode": RelationSet("two-mode", lambda s: two_mode_relation_specs(s)),
+    "su_nu2": RelationSet("js", lambda r: su_nu2_relation_specs(r)),
+    "condensed": RelationSet("js", lambda r: condensed_relation_specs(r), lambda r: condensed_caveats(r)),
+    "so_nu3": RelationSet(
+        "so3", lambda r: so_nu3_relation_specs(r) + so_nu3_condensed_specs(r), lambda r: so_nu3_caveats(r)
+    ),
+    "hp": RelationSet(
+        "hp",
+        lambda r: hp_relation_specs(r),
+        extra=lambda run, r: [hp_spectrum_report(r, run.family("js", r.two_j))],
+    ),
+}
+
+
+class Run:
+    """Builds families through :data:`KINDS` and checks relation sets on them.
+
+    Shared kinds are built once and kept; any other family, and every spec
+    list, lives as long as its caller holds it. ``grid`` plans (relation set,
+    sizes) pairs: the first exact check of one samples its specs on the grid.
+    """
+
+    def __init__(self, grid: Sequence[Tuple[str, tuple]] = ()) -> None:
+        self._shared: Dict[tuple, object] = {}
+        self._grid: Dict[Tuple[str, tuple], Optional[List[AlgebraReport]]] = dict.fromkeys(grid)
+        self._memo: dict = {}  # each distinct entry is evaluated once on the grid
+
+    def family(self, kind: str, *sizes: int):
+        family = self._shared.get((kind, *sizes))
+        if family is None:
+            family = KINDS[kind](self, *sizes)
+            if kind in SHARED_KINDS:
+                self._shared[(kind, *sizes)] = family
+        return family
+
+    def specs(self, name: str, *sizes: int) -> Tuple[object, List[RelationSpec]]:
+        """The family of relation set ``name`` at ``sizes`` and its specs, sampled if planned."""
+        family = self.family(RELATION_SETS[name].kind, *sizes)
+        specs = RELATION_SETS[name].specs(family)
+        if (name, sizes) in self._grid and self._grid[name, sizes] is None:
+            self._grid[name, sizes] = [numeric_relation_report(spec, memo=self._memo) for spec in specs]
+        return family, specs
+
+    def audit(self, name: str, family, specs: Optional[List[RelationSpec]] = None) -> List[AlgebraReport]:
+        """Exact checks of relation set ``name`` on ``family``, given its ``specs`` if made."""
+        row = RELATION_SETS[name]
+        specs = row.specs(family) if specs is None else specs
+        return check_specs(specs, row.caveats(family)) + row.extra(self, family)
+
+    def check(self, name: str, *sizes: int) -> List[AlgebraReport]:
+        return self.audit(name, *self.specs(name, *sizes))
+
+    def sampled(self, name: str, *sizes: int) -> List[AlgebraReport]:
+        """Grid reports of relation set ``name`` at ``sizes``, sampled now unless a check did."""
+        if self._grid.get((name, sizes)) is None:
+            self._grid[name, sizes] = None
+            self.specs(name, *sizes)
+        return self._grid[name, sizes]
 
 
 def aggregate(relation_id: str, reports: Sequence[AlgebraReport]) -> AlgebraReport:
@@ -112,14 +178,14 @@ def number_suite(max_n: int = 50) -> List[AlgebraReport]:
     ]
 
 
-def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, build=build_now) -> List[AlgebraReport]:
+def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, run: Optional[Run] = None) -> List[AlgebraReport]:
+    run = run or Run()
     per_dim = []
     defects = []
     for dim in range(min_dim, max_dim + 1):
-        s = build(build_single_mode, dim)
-        specs = build(single_mode_relation_specs, s)
-        per_dim.append(check_specs(specs))
-        defects.append(truncation_defect_report(s, build=lambda fn, family: specs))
+        s, specs = run.specs("single-mode", dim)
+        per_dim.append(run.audit("single-mode", s, specs))
+        defects.append(truncation_defect_report(s, specs))
     out = _group_by_suffix(per_dim, f"(dims {min_dim}..{max_dim})")
     out.append(
         aggregate(
@@ -134,40 +200,33 @@ def realization_suite(max_n: int = 15) -> List[AlgebraReport]:
     return audit_realizations(max_n)
 
 
-def two_mode_suite(d1: int = 10, d2: int = 10, *, build=build_now) -> List[AlgebraReport]:
-    return check_specs(build(two_mode_relation_specs, build(build_two_mode, d1, d2, build=build)))
+def two_mode_suite(d1: int = 10, d2: int = 10, *, run: Optional[Run] = None) -> List[AlgebraReport]:
+    return (run or Run()).check("two-mode", d1, d2)
 
 
-def two_mode_sweep(max_dim: int = 10) -> List[AlgebraReport]:
-    per_pair = [
-        audit_two_mode(build_two_mode(d1, d2))
-        for d1 in range(2, max_dim + 1)
-        for d2 in range(2, max_dim + 1)
-    ]
-    return _group_by_suffix(per_pair, f"(d1,d2 in 2..{max_dim})")
-
-
-def spin_suite(max_two_j: int = 8, *, build=build_now) -> List[AlgebraReport]:
-    reps = {two_j: build(build_js_spin_rep, two_j) for two_j in range(1, max_two_j + 1)}
-    out = _group_by_suffix([audit_su_nu2(r, build=build) for r in reps.values()], f"(two_j 1..{max_two_j})")
-    odd = [audit_condensed_forms(reps[j], build=build) for j in range(1, max_two_j + 1, 2)]
-    even = [audit_condensed_forms(reps[j], build=build) for j in range(2, max_two_j + 1, 2)]
+def spin_suite(max_two_j: int = 8, *, run: Optional[Run] = None) -> List[AlgebraReport]:
+    run = run or Run()
+    two_js = range(1, max_two_j + 1)
+    out = _group_by_suffix([run.check("su_nu2", j) for j in two_js], f"(two_j 1..{max_two_j})")
+    odd = [run.check("condensed", j) for j in two_js[::2]]
+    even = [run.check("condensed", j) for j in two_js[1::2]]
     out.extend(_group_by_suffix(odd, f"(odd two_j <= {max_two_j})"))
     out.extend(_group_by_suffix(even, f"(even two_j <= {max_two_j})"))
     return out
 
 
 def block_extraction_suite(
-    max_two_j: int = 8, d1: int = 10, d2: int = 10, *, build=build_now
+    max_two_j: int = 8, d1: int = 10, d2: int = 10, *, run: Optional[Run] = None
 ) -> List[AlgebraReport]:
-    ambient = build(build_two_mode, d1, d2, build=build)
+    run = run or Run()
+    ambient = run.family("two-mode", d1, d2)
     composites = js_composites(ambient)
     reports = []
     top = min(max_two_j, d1 - 1, d2 - 1)
     for two_j in range(1, top + 1):
         extracted = cut_js_block(ambient, composites, two_j)
-        closed = build(build_js_spin_rep, two_j)
-        for name in ("j_plus", "j_minus", "j0", "p_op", "k_op", "q_op", "r_j"):
+        closed = run.family("js", two_j)
+        for name in JS_OPERATORS.values():
             reports.append(
                 check_relation(
                     f"block {name} (two_j={two_j})",
@@ -184,9 +243,10 @@ def block_extraction_suite(
 
 
 def hp_suite(
-    even_two_j: Sequence[int] = (2, 4, 6, 8), odd_two_j: Sequence[int] = (1, 3), *, build=build_now
+    even_two_j: Sequence[int] = (2, 4, 6, 8), odd_two_j: Sequence[int] = (1, 3), *, run: Optional[Run] = None
 ) -> List[AlgebraReport]:
-    per_j = [audit_hp(build(build_hp_rep, two_j), build=build) for two_j in even_two_j]
+    run = run or Run()
+    per_j = [run.check("hp", two_j) for two_j in even_two_j]
     out = _group_by_suffix(per_j, f"(even two_j in {tuple(even_two_j)})")
     refusals = []
     for two_j in odd_two_j:
@@ -204,46 +264,46 @@ def hp_suite(
     return out + refusals
 
 
-def so3_suite(max_two_j: int = 6, *, build=build_now) -> List[AlgebraReport]:
-    per_j = [
-        audit_so_nu3(build(build_so_nu3, two_j, build=build), build=build)
-        for two_j in range(1, max_two_j + 1)
-    ]
+def so3_suite(max_two_j: int = 6, *, run: Optional[Run] = None) -> List[AlgebraReport]:
+    run = run or Run()
+    per_j = [run.check("so_nu3", two_j) for two_j in range(1, max_two_j + 1)]
     # odd and even parities carry different condensed ids, so group as a whole
     return _group_by_suffix(per_j, f"(two_j 1..{max_two_j})")
 
 
-def reference_suite(*, build=build_now) -> List[AlgebraReport]:
-    return reference_matrix_reports(build=build)
+def reference_suite(*, run: Optional[Run] = None) -> List[AlgebraReport]:
+    run = run or Run()
+    reps = {two_j: run.family("js", two_j) for two_j in REFERENCE_TWO_J.values()}
+    return reference_matrix_reports(reps)
+
+
+def _grid_plan(max_two_j: int, dims: Sequence[int], single_dim: int) -> List[Tuple[str, tuple]]:
+    """The (relation set, sizes) pairs the numeric grid samples, in its output order."""
+    plan = [("single-mode", (single_dim,)), ("two-mode", tuple(dims))]
+    for two_j in sorted({max(1, max_two_j - 1), max_two_j}):
+        plan += [("su_nu2", (two_j,)), ("condensed", (two_j,)), ("so_nu3", (two_j,))]
+    even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
+    if even >= 2:
+        plan.append(("hp", (even,)))
+    return plan
 
 
 def numeric_suite(
-    max_two_j: int = 8, dims=(10, 10), single_dim: int = 12, *, build=build_now
+    max_two_j: int = 8, dims=(10, 10), single_dim: int = 12, *, run: Optional[Run] = None
 ) -> List[AlgebraReport]:
-    """Grid-sampled residual checks on the specs the exact audits check.
+    """Grid-sampled residual checks of the relation sets at the grid's sizes.
 
-    Every family's specs stay alive until the grid is done. :func:`verify_all`
-    runs the grid first, so its memo stores these families and spec lists and
-    the exact sections check the very same ones.
+    The grid samples single-mode at ``single_dim``, two-mode at ``dims``,
+    su_nu(2), its condensed forms and so_nu(3) at 2j = max_two_j - 1 and
+    max_two_j, and HP at the top even 2j. In :func:`verify_all` each exact
+    section samples the spec lists it checks at these sizes; this samples
+    the rest, which are checked on the grid only, never exactly: so_nu(3)
+    above the so_nu3 section's 2j <= 6 (2j = 7, 8 at the defaults), and
+    single-mode at ``single_dim`` when the single-mode section stops below.
     """
-    families = [
-        build(single_mode_relation_specs, build(build_single_mode, single_dim)),
-        build(two_mode_relation_specs, build(build_two_mode, *dims, build=build)),
-    ]
-    for two_j in sorted({max(1, max_two_j - 1), max_two_j}):
-        rep = build(build_js_spin_rep, two_j)
-        so3 = build(build_so_nu3, two_j, build=build)
-        families += [
-            build(su_nu2_relation_specs, rep),
-            build(condensed_relation_specs, rep),
-            build(so_nu3_relation_specs, so3),
-            build(so_nu3_condensed_specs, so3),
-        ]
-    even = max_two_j if max_two_j % 2 == 0 else max_two_j - 1
-    if even >= 2:
-        families.append(build(hp_relation_specs, build(build_hp_rep, even)))
-    memo: dict = {}  # each distinct entry is evaluated once on the grid
-    return [numeric_relation_report(spec, memo=memo) for specs in families for spec in specs]
+    plan = _grid_plan(max_two_j, dims, single_dim)
+    run = run or Run(plan)
+    return [report for name, sizes in plan for report in run.sampled(name, *sizes)]
 
 
 def verify_all(
@@ -255,25 +315,22 @@ def verify_all(
 ) -> Dict[str, List[AlgebraReport]]:
     """Every audited relation family, grouped by section, deterministic order.
 
-    One :class:`RunMemo` builds each family and spec list once for all sections.
-    The numeric grid runs first and everything it builds is kept; after it the
-    memo keeps only JS spin reps and single-mode sets, which several sections
-    re-read. Any other family or spec list lives only inside its section.
+    One :class:`Run` builds each family once for all sections and keeps the
+    shared kinds. Each exact section samples on the numeric grid the spec
+    lists it checks at the grid's sizes, so no spec list outlives its check;
+    the grid section, last, samples only the sizes no exact section visits.
     """
-    build = RunMemo()
-    grid = numeric_suite(max_two_j, dims, build=build)
-    build.keep = {build_js_spin_rep, build_single_mode}
+    grid = (max_two_j, dims, 12)
+    run = Run(_grid_plan(*grid))
     return {
         "deformed-numbers": number_suite(max_number),
-        "single-mode": single_mode_suite(2, max_single_dim, build=build),
+        "single-mode": single_mode_suite(2, max_single_dim, run=run),
         "coordinate-realizations": realization_suite(max_n),
-        "two-mode": two_mode_suite(*dims, build=build),
-        "su_nu2": spin_suite(max_two_j, build=build),
-        "block-extraction": block_extraction_suite(max_two_j, *dims, build=build),
-        "reference-matrices": reference_suite(build=build),
-        "holstein-primakoff": hp_suite(
-            tuple(j for j in range(2, max_two_j + 1, 2)), (1, 3), build=build
-        ),
-        "so_nu3": so3_suite(min(max_two_j, 6), build=build),
-        "numeric-grid": grid,
+        "two-mode": two_mode_suite(*dims, run=run),
+        "su_nu2": spin_suite(max_two_j, run=run),
+        "block-extraction": block_extraction_suite(max_two_j, *dims, run=run),
+        "reference-matrices": reference_suite(run=run),
+        "holstein-primakoff": hp_suite(tuple(j for j in range(2, max_two_j + 1, 2)), (1, 3), run=run),
+        "so_nu3": so3_suite(min(max_two_j, 6), run=run),
+        "numeric-grid": numeric_suite(*grid, run=run),
     }

@@ -15,14 +15,13 @@ from .operators import (
     OperatorMatrix,
     RelationSpec,
     anticommutator,
-    build_now,
     check_specs,
     commutator,
     tensor,
 )
 from .reports import AlgebraReport
 from .scalars import P_NU, P_TWO_NU
-from .single_mode import build_single_mode
+from .single_mode import SingleModeSet, build_single_mode
 
 
 @dataclass(frozen=True)
@@ -38,19 +37,22 @@ class TwoModeSet:
         return self.a[0].basis
 
 
-def build_two_mode(d1: int, d2: int, *, build=build_now) -> TwoModeSet:
+def build_two_mode(d1: int, d2: int) -> TwoModeSet:
     """a1 = a (x) I, a2 = I (x) a, and likewise for N and R; row-major in (n1, n2)."""
     if d1 < 2 or d2 < 2:
         raise InvalidDimensionError("two-mode truncation needs d1, d2 >= 2")
-    m1 = build(build_single_mode, d1)
-    m2 = build(build_single_mode, d2)
+    return two_mode_from(build_single_mode(d1), build_single_mode(d2))
+
+
+def two_mode_from(m1: SingleModeSet, m2: SingleModeSet) -> TwoModeSet:
+    """The two-mode set of :func:`build_two_mode` from its two single-mode sets."""
     i1 = OperatorMatrix.identity(m1.a.basis)
     i2 = OperatorMatrix.identity(m2.a.basis)
     a1 = tensor(m1.a, i2)
     # one basis object for all eight, so basis checks between them are identity tests
     basis = a1.basis
     return TwoModeSet(
-        dims=(d1, d2),
+        dims=(m1.dim, m2.dim),
         a=(a1, tensor(i1, m2.a, _basis=basis)),
         a_dag=(tensor(m1.a_dag, i2, _basis=basis), tensor(i1, m2.a_dag, _basis=basis)),
         n_op=(tensor(m1.n_op, i2, _basis=basis), tensor(i1, m2.n_op, _basis=basis)),

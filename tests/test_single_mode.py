@@ -83,7 +83,7 @@ def test_truncation_defect_report_compares_rows_below_the_top():
         for row in sorted({0, top - 1, top}):
             changed = bracket + OperatorMatrix.from_entries(bracket.basis, {(row, 0): RadicalSum.one()})
             changed_specs = [specs[0]._replace(lhs=changed)] + specs[1:]
-            report = truncation_defect_report(s, build=lambda fn, arg: changed_specs)
+            report = truncation_defect_report(s, changed_specs)
             masked = check_relation(relation_id, changed, rhs, mask)
             assert (masked.verdict is Verdict.PASS) == (row == top)
             assert report.verdict is Verdict.FAIL

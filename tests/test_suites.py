@@ -11,6 +11,7 @@ import pytest
 
 from wigneralg import scalars, suites
 from wigneralg.operators import (
+    MAX_GRID_NU,
     NU_GRID,
     OperatorMatrix,
     RelationSpec,
@@ -231,8 +232,8 @@ def test_verify_all_builds_each_family_once(monkeypatch):
 
 
 def test_verify_all_releases_spec_lists_no_later_section_reads(monkeypatch):
-    # only the numeric grid's spin families (2j in {5, 6}) keep their spec
-    # lists past the section that checked them
+    # no spec list outlives the section that checked it, the numeric grid's
+    # spin families (2j in {5, 6}) included
     class SpecList(list):
         pass
 
@@ -262,12 +263,58 @@ def test_verify_all_releases_spec_lists_no_later_section_reads(monkeypatch):
     monkeypatch.setattr(suites, "so3_suite", probing_so3_suite)
     verify_all(max_two_j=6, dims=(5, 5), max_n=4, max_number=8, max_single_dim=6)
     assert {two_j for _, two_j, _ in made} == set(range(1, 7))
-    assert alive == [
-        ("condensed_relation_specs", 5),
-        ("condensed_relation_specs", 6),
-        ("su_nu2_relation_specs", 5),
-        ("su_nu2_relation_specs", 6),
-    ]
+    assert alive == []
+
+
+def test_grid_samples_unchecked_only_the_sizes_no_exact_section_visits(monkeypatch):
+    # every (relation set, sizes) pair is sampled where its specs are made: in
+    # the exact section that checks it, else in the grid section itself
+    made_in_grid = []
+    in_grid = []
+
+    class Recording(suites.Run):
+        def specs(self, name, *sizes):
+            if in_grid:
+                made_in_grid.append((name, sizes))
+            return super().specs(name, *sizes)
+
+    def marking_numeric_suite(*args, **kwargs):
+        in_grid.append(True)
+        return numeric_suite(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "Run", Recording)
+    monkeypatch.setattr(suites, "numeric_suite", marking_numeric_suite)
+    assert len(verify_all()["numeric-grid"]) == 113
+    # so_nu3 stops at 2j = 6: its grid sizes 7 and 8 are checked on the grid only
+    assert sorted(made_in_grid) == [("so_nu3", (7,)), ("so_nu3", (8,))]
+    made_in_grid.clear()
+    in_grid.clear()
+    verify_all(max_two_j=4, dims=(5, 5), max_n=4, max_number=8, max_single_dim=6)
+    assert made_in_grid == [("single-mode", (12,))]
+
+
+def test_every_caveat_names_a_relation_id_its_set_returns():
+    # a renamed relation id would silently drop its caveat, turning pass-with-caveat into pass
+    sizes = {
+        "single-mode": [(2,), (3,)],
+        "two-mode": [(2, 3)],
+        "js": [(1,), (2,), (3,), (4,)],
+        "so3": [(1,), (2,), (3,), (4,)],
+        "hp": [(2,), (4,)],
+    }
+    assert set(sizes) == set(suites.KINDS)
+    caveated = set()
+    run = suites.Run()
+    for name, row in suites.RELATION_SETS.items():
+        for size in sizes[row.kind]:
+            family = run.family(row.kind, *size)
+            ids = {spec.relation_id for spec in row.specs(family)}
+            caveats = row.caveats(family)
+            assert set(caveats) <= ids, (name, size, set(caveats) - ids)
+            if caveats:
+                caveated.add((name, size[-1] % 2))
+    # both parities of so_nu3 carry caveats, and the odd condensed forms do
+    assert caveated == {("so_nu3", 0), ("so_nu3", 1), ("condensed", 1)}
 
 
 def test_block_extraction_label_names_the_range_checked():
@@ -412,7 +459,12 @@ def test_numeric_grid_refuses_nan_infinite_and_empty_grids():
     bad = RelationSpec("bad", *specs[0][1:3])  # [a,adag] unmasked: the top row differs by -[dim]
     out = numeric_relation_report(bad)
     assert out.verdict is Verdict.FAIL and out.max_residual == 4.0
-    for nus in ((math.nan,), (math.inf,), (), (0.5, -math.inf), (0.5, math.nan), (-0.5,)):
+    # the bound 1e-12*(1+|lhs|) grows with nu; up to MAX_GRID_NU it still catches the defect
+    for dim in range(2, 26):
+        unmasked = RelationSpec("bad", *single_mode_relation_specs(build_single_mode(dim))[0][1:3])
+        assert numeric_relation_report(unmasked, nus=(MAX_GRID_NU,)).verdict is Verdict.FAIL, dim
+    too_large = ((MAX_GRID_NU * (1 + 1e-9),), (0.5, 1e12))
+    for nus in ((math.nan,), (math.inf,), (), (0.5, -math.inf), (0.5, math.nan), (-0.5,), *too_large):
         memo = {}
         with pytest.raises(ValueError):
             numeric_relation_report(bad, nus=nus, memo=memo)
@@ -420,6 +472,7 @@ def test_numeric_grid_refuses_nan_infinite_and_empty_grids():
     for nu in (math.nan, math.inf, -math.inf, -0.5):
         with pytest.raises(ValueError):
             eval_matrix(s.a, nu)
+    eval_matrix(s.a, 1e12)  # only the grid's verdict needs the bound
 
 
 def test_block_extraction_asymmetric_ambient():

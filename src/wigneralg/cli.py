@@ -9,7 +9,6 @@ no timestamps.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -19,6 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .errors import OddTwoJNotClosedError
+from .operators import MAX_GRID_NU
 from .reports import AlgebraReport, Verdict
 from .scalars import deformed_number
 from .serialize import csv_rows, dumps, reports_to_list
@@ -57,8 +57,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for nu in self.nu_values:
-            if not math.isfinite(nu) or nu <= -0.5:
-                raise UsageError(f"--nu must be finite and > -1/2, got {nu}")
+            if not -0.5 < nu <= MAX_GRID_NU:  # also false for nan and +-inf
+                raise UsageError(f"--nu must be finite, > -1/2 and <= {MAX_GRID_NU:g}, got {nu}")
         if self.fmt == "csv" and len(self.nu_values) != 1:
             raise UsageError("CSV export is numeric-only and needs exactly one --nu value")
         if self.fmt != "csv" and self.nu_values:

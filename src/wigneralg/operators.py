@@ -21,8 +21,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 NU_GRID = (0.0, 0.1, 0.25, 0.5, 1.0, 2.0)
-# Largest nu the numeric grid accepts: its bound 1e-12*(1+|lhs|) grows with nu,
-# and from nu = 1e12 it passes the truncation defect -[dim] it must catch.
+# Largest nu the numeric grid and the CLI's --nu accept: the grid's bound
+# 1e-12*(1+|lhs|) grows with nu, and from nu = 1e12 it passes the truncation
+# defect -[dim] it must catch; far above it CSV cells overflow to inf and nan.
 MAX_GRID_NU = 1e6
 
 
@@ -338,11 +339,11 @@ def check_relation(
     rhs: OperatorMatrix,
     mask: Optional[Set[int]] = None,
 ) -> AlgebraReport:
-    """Exact entrywise comparison on masked rows, with numeric fallback.
+    """Exact entrywise comparison on masked rows.
 
-    Entries whose canonical difference is nonempty are re-tested numerically
-    per the radicand-merge fallback; the report then carries a caveat and the
-    observed residual instead of claiming exactness.
+    Canonical forms are complete, so the first entry whose canonical forms
+    differ fails the relation; the report carries that entry as its witness
+    and the residual of :func:`radical_values_equal` at it.
     """
     if lhs.basis is not rhs.basis and lhs.basis != rhs.basis:
         raise DimensionMismatchError("relation sides act on different labeled spaces")
@@ -350,8 +351,6 @@ def check_relation(
     lhs_nz = lhs.row_nonzeros()
     rhs_nz = rhs.row_nonzeros()
     zero = RadicalSum.zero()
-    worst = 0.0
-    fallback = False
     for i in rows:
         if lhs_nz[i] == rhs_nz[i]:  # canonical rows: equal entry by entry
             continue
@@ -362,25 +361,10 @@ def check_relation(
             re_ = rrow.get(j, zero)
             if le == re_:
                 continue
-            status, residual = radical_values_equal(le, re_)
-            worst = max(worst, residual)
-            if status == "different":
-                return AlgebraReport(
-                    relation_id,
-                    CheckMode.MIXED if fallback else CheckMode.EXACT,
-                    worst,
-                    Verdict.FAIL,
-                    witness=Witness(i, j, str(re_), str(le)),
-                )
-            fallback = True
-    if fallback:
-        return AlgebraReport(
-            relation_id,
-            CheckMode.MIXED,
-            worst,
-            Verdict.PASS_WITH_CAVEAT,
-            caveat="numeric-verified: some radicands did not merge",
-        )
+            _, residual = radical_values_equal(le, re_)
+            return AlgebraReport(
+                relation_id, CheckMode.EXACT, residual, Verdict.FAIL, witness=Witness(i, j, str(re_), str(le))
+            )
     return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
 
 

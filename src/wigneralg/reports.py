@@ -16,7 +16,6 @@ class Verdict(str, Enum):
 class CheckMode(str, Enum):
     EXACT = "exact"
     NUMERIC = "numeric"
-    MIXED = "mixed"
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ Three nested rings:
 * ``NuPolynomial``     -- polynomials in nu over the Gaussian rationals,
   stored as integer numerators over one common denominator, real and
   imaginary parts apart, so its arithmetic runs on plain ints,
-* ``RadicalSum``       -- finite sums  c(nu) * sqrt(p(nu))  with canonical
-  real radicands; the entry type of every operator matrix.
+* ``RadicalSum``       -- finite sums  c(nu) * sqrt(p(nu))  with canonical,
+  squarefree real radicands; the entry type of every operator matrix.
 
 Deformed numbers [n] = n + nu*(1 - (-1)^n) and their identities live here.
 Numeric evaluation targets the domain nu > -1/2, where every in-scope
@@ -532,11 +532,57 @@ def _is_one(p: NuPolynomial) -> bool:
     return p.den == 1 and p.re == (1,) and not p.im
 
 
+def _primitive(c: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Integer numerators divided by their content, with a positive leading coefficient."""
+    g = math.gcd(*c)
+    g = -g if c[-1] < 0 else g
+    return tuple([v // g for v in c])
+
+
+def _divide(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(q, r) with a = q*b + r, deg r < deg b, for integer polynomials whose quotient q is integral."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, v in enumerate(b):
+            r[k + i] -= q[k] * v
+    while r and not r[-1]:
+        r.pop()
+    return tuple(q), tuple(r)
+
+
+def _primitive_gcd(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """gcd of two nonzero integer polynomials (nu-ascending), primitive, leading coefficient > 0."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        # pseudo-division: lead(b)^(deg a - deg b + 1) * a has an integral quotient
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        _, r = _divide(tuple([v * scale for v in a]), b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return (1,)
+
+
+def _shared_factor(a: Tuple[int, ...], b: Tuple[int, ...]):
+    """The primitive gcd of two radicands' numerators when it is not constant, else None."""
+    if len(a) == 1 or len(b) == 1:
+        return None
+    if len(a) == 2 and len(b) == 2:
+        # linear radicands share a factor only when they are proportional
+        return _primitive(a) if a[0] * b[1] == a[1] * b[0] else None
+    g = _primitive_gcd(a, b)
+    return g if len(g) > 1 else None
+
+
 def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPolynomial) -> Term:
     """c1*sqrt(r1) * c2*sqrt(r2) as one (coefficient, canonical radicand) term.
 
-    Stored radicands are already canonical, so only genuinely mixed radicand
-    products need re-canonicalization.
+    Stored radicands are canonical and squarefree, so a shared factor g comes
+    out whole: sqrt(g*a)*sqrt(g*b) = g*sqrt(a*b), and a*b is squarefree again.
     """
     if r1 == r2:
         # sqrt(p)*sqrt(p) = p, valid on the nu > -1/2 domain where in-scope
@@ -547,8 +593,14 @@ def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPo
         return c1 * c2, r2
     if _is_one(r2):
         return c1 * c2, r1
-    mult, rad = _canonical_radicand(r1 * r2)
-    return c1 * c2 * mult, rad
+    g = _shared_factor(r1.re, r2.re)
+    if g is None:
+        mult, rad = _canonical_radicand(r1 * r2)
+        return c1 * c2 * mult, rad
+    # g divides a squarefree radicand that is nonnegative on nu > -1/2, so it
+    # has no root there; with its leading coefficient > 0 it is positive there
+    mult, rad = _canonical_radicand(_poly(_convolve(_divide(r1.re, g)[0], _divide(r2.re, g)[0]), (), 1))
+    return c1 * c2 * _poly(g, (), 1) * mult, rad
 
 
 @dataclass(frozen=True)
@@ -556,9 +608,12 @@ class RadicalSum:
     """Finite sum of terms c(nu)*sqrt(p(nu)) with canonical radicands.
 
     The empty term list is the unique zero.  Terms with radicand 1 carry the
-    radical-free (polynomial) part of the value.  Equality is canonical-form
-    equality; use :func:`radical_values_equal` when radicands may fail to
-    merge.
+    radical-free (polynomial) part of the value.  Every stored radicand is
+    squarefree: `_from_raw` (behind `sqrt_poly` and `matrix_from_dict`)
+    rejects a radicand with a repeated polynomial factor or a negative
+    leading coefficient, and products pull a shared factor out of the root.
+    Square roots of distinct squarefree radicands are linearly independent,
+    so equal values have one form and equality is canonical-form equality.
     """
 
     terms: Tuple[Term, ...] = ()
@@ -572,6 +627,12 @@ class RadicalSum:
             mult, canonical = _canonical_radicand(radicand)
             if not mult.re:
                 continue
+            re = canonical.re
+            if re[-1] < 0:
+                raise ValueError(f"radicands need a positive leading coefficient, got {radicand}")
+            derivative = tuple([k * v for k, v in enumerate(re)][1:])
+            if _shared_factor(re, derivative) is not None:  # gcd(p, p') is not constant
+                raise ValueError(f"radicands must not have a repeated factor, got {radicand}")
             scaled = coeff * mult
             if canonical in merged:
                 merged[canonical] = merged[canonical] + scaled
@@ -599,7 +660,7 @@ class RadicalSum:
 
     @staticmethod
     def sqrt_poly(p: Union[NuPolynomial, ScalarLike]) -> "RadicalSum":
-        """sqrt of a real polynomial, canonicalized on construction."""
+        """sqrt of a real polynomial, canonicalized; ValueError for a repeated factor or a negative lead."""
         return RadicalSum._from_raw([(P_ONE, NuPolynomial.coerce(p))])
 
     @staticmethod
@@ -724,7 +785,7 @@ R_MINUS_ONE = RadicalSum(((P_MINUS_ONE, P_ONE),))
 
 
 ########################################################################
-#   Numeric evaluation and the zero-test fallback
+#   Numeric evaluation and residuals
 ########################################################################
 
 
@@ -745,29 +806,27 @@ def numeric_eval(value: Union[NuPolynomial, RadicalSum], nu: float) -> complex:
     return total
 
 
-def _fallback_points(count: int) -> list:
-    return [0.5 + k for k in range(max(count, 2))]
-
-
 def radical_values_equal(a: RadicalSum, b: RadicalSum, tol: float = ZERO_TOL):
     """Compare two radical sums; returns (status, max_residual).
 
-    status is "exact" when the canonical difference is the empty sum,
-    "numeric" when radicands failed to merge but the difference vanishes at
-    (max radicand degree + 2) sample points, "different" otherwise.
+    Canonical forms are complete, so status is "exact" (residual 0.0) when
+    they are equal and "different" otherwise.  For a difference the residual
+    |a - b| is sampled at nu = 0.5, 1.5, ... (max radicand degree + 2 points,
+    at least 2), stopping at the first point above ``tol * (1 + |a| + |b|)``;
+    it is what a failing report shows, not what decides.
     """
     diff = a - b
     if diff.is_zero:
         return "exact", 0.0
-    points = _fallback_points(diff.max_radicand_degree() + 2)
     worst = 0.0
-    for nu in points:
+    for k in range(max(diff.max_radicand_degree() + 2, 2)):
+        nu = 0.5 + k
         value = abs(numeric_eval(diff, nu))
         scale = 1.0 + abs(numeric_eval(a, nu)) + abs(numeric_eval(b, nu))
         worst = max(worst, value)
         if value > tol * scale:
-            return "different", worst
-    return "numeric", worst
+            break
+    return "different", worst
 
 
 ########################################################################

@@ -132,10 +132,7 @@ def aggregate(relation_id: str, reports: Sequence[AlgebraReport]) -> AlgebraRepo
     if failed is not None:
         mode, verdict, caveat = failed.mode, Verdict.FAIL, failed.caveat
     else:
-        modes = {r.mode for r in reports}
-        mode = CheckMode.EXACT if modes <= {CheckMode.EXACT} else (
-            CheckMode.NUMERIC if modes == {CheckMode.NUMERIC} else CheckMode.MIXED
-        )
+        mode = CheckMode.NUMERIC if any(r.mode is CheckMode.NUMERIC for r in reports) else CheckMode.EXACT
         caveat = next((r.caveat for r in reports if r.caveat), None)
         verdict = Verdict.PASS if caveat is None else Verdict.PASS_WITH_CAVEAT
         worst = 0.0 if mode is CheckMode.EXACT else worst

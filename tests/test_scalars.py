@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from wigneralg.errors import NegativeRadicandError
+from wigneralg.operators import NU_GRID
 from wigneralg.reports import Verdict
 from wigneralg.single_mode import build_single_mode
 from wigneralg.scalars import (
@@ -41,9 +44,20 @@ gaussian_st = st.builds(GaussianRational, fractions_st, fractions_st)
 poly_st = st.builds(
     NuPolynomial.from_coeffs, st.lists(gaussian_st, min_size=0, max_size=4)
 )
-# radicands with nonnegative integer coefficients stay nonnegative on nu >= 0
+
+
+def is_squarefree(coeffs):
+    """sympy's verdict: the polynomial (nu-ascending coefficients) has no repeated factor."""
+    nu = sp.Symbol("nu")
+    p = sum(c * nu**k for k, c in enumerate(coeffs))
+    return sp.degree(sp.gcd(p, sp.diff(p, nu)), nu) <= 0
+
+
+# radicands with nonnegative integer coefficients stay nonnegative on nu >= 0;
+# sqrt_poly accepts only squarefree ones
 radicand_st = st.builds(
-    NuPolynomial.from_coeffs, st.lists(st.integers(0, 5), min_size=1, max_size=3)
+    NuPolynomial.from_coeffs,
+    st.lists(st.integers(0, 5), min_size=1, max_size=3).filter(is_squarefree),
 )
 term_st = st.tuples(poly_st, radicand_st)
 radical_st = st.builds(
@@ -225,11 +239,8 @@ def test_radical_ring_axioms(a, b, c, shared):
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     assert (a + (-a)).terms == ()
-    # distributivity is canonical; associativity of * may need the numeric
-    # fallback when integer-square extraction orders differ
     assert a * (b + c) == a * b + a * c
-    status, _ = radical_values_equal((a * b) * c, a * (b * c))
-    assert status in ("exact", "numeric")
+    assert (a * b) * c == a * (b * c)
     # the short-cuts of - and * agree with the general path
     x, y = shared
     for p, q in ((a, b), (a, a), (x, y), (y, x), (x, x)):
@@ -286,17 +297,70 @@ def test_numeric_eval_negative_radicand():
         numeric_eval(r, -3e-12)
 
 
-def test_fallback_comparator_detects_unmerged_zero():
-    # (1+2nu) written as sqrt((1+2nu)^2) does not merge canonically but is
-    # numerically the same value on the domain
-    hidden = RadicalSum.sqrt_poly(deformed_number(1) * deformed_number(1))
-    plain = RadicalSum.from_polynomial(deformed_number(1))
-    assert hidden != plain
-    status, residual = radical_values_equal(hidden, plain)
-    assert status == "numeric"
-    assert residual <= 1e-12
-    status, _ = radical_values_equal(hidden, RadicalSum.from_polynomial(poly(1, 3)))
-    assert status == "different"
+def test_sqrt_poly_rejects_radicands_without_a_canonical_form():
+    # sqrt((1+2nu)^2) would be a second form of 1+2nu, and sqrt(nu^2) is |nu|,
+    # not nu; sqrt(-p) would be a second form of i*sqrt(p)
+    hidden_squares = (poly(0, 0, 1), deformed_number(1) * deformed_number(1), poly(3, 2) * poly(0, 0, 1))
+    for bad in hidden_squares + (poly(1, -1), poly(-2), poly(-1, -2)):
+        with pytest.raises(ValueError):
+            RadicalSum.sqrt_poly(bad)
+    with pytest.raises(ValueError):
+        RadicalSum._from_raw([(poly(Fraction(1, 2)), poly(1, 4, 4))])
+    # rational content may carry squares: it moves out of the root as before
+    quarter = RadicalSum.sqrt_poly(poly(Fraction(1, 4), Fraction(1, 2)))
+    assert quarter == RadicalSum.sqrt_poly(poly(1, 2)) * poly(Fraction(1, 2))
+
+
+def test_equal_values_share_one_canonical_form():
+    # each pair once had two canonical forms
+    a, b = RadicalSum.sqrt_poly(deformed_number(1)), RadicalSum.sqrt_poly(deformed_number(3))
+    shared = RadicalSum.sqrt_poly(poly(2, 4)) * RadicalSum.sqrt_poly(poly(3, 6))
+    pairs = [((a * b) * b, a * (b * b)), (shared, RadicalSum.sqrt_poly(6) * poly(1, 2))]
+    for left, right in pairs:
+        assert left == right
+        assert radical_values_equal(left, right) == ("exact", 0.0)
+    assert [str(left) for left, _ in pairs] == ["(3 + 2*nu)*sqrt(1 + 2*nu)", "(1 + 2*nu)*sqrt(6)"]
+    root = RadicalSum.sqrt_poly(deformed_number(1))
+    status, residual = radical_values_equal(root, RadicalSum.from_polynomial(poly(1, 3)))
+    assert status == "different" and residual > 0.1
+
+
+# linear factors positive on nu > -1/2 (also at nu = -0.4), pairwise coprime
+POSITIVE_FACTORS = (poly(1, 2), poly(3, 2), poly(5, 2), poly(1, 1), poly(2, 1), poly(3, 4))
+# sqrt of an integer content times distinct positive factors, times a coefficient
+positive_root_st = st.builds(
+    lambda content, factors, coeff: RadicalSum.sqrt_poly(
+        math.prod((POSITIVE_FACTORS[k] for k in factors), start=poly(content))
+    )
+    * poly(*coeff),
+    st.integers(1, 12),
+    st.sets(st.integers(0, len(POSITIVE_FACTORS) - 1), min_size=1, max_size=3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=2).filter(any),
+)
+
+
+def association_orders(xs):
+    """Every fully bracketed product of xs, in the order given."""
+    if len(xs) == 1:
+        yield xs[0]
+        return
+    for k in range(1, len(xs)):
+        for left in association_orders(xs[:k]):
+            for right in association_orders(xs[k:]):
+                yield left * right
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(positive_root_st, min_size=3, max_size=4))
+def test_products_of_shared_factor_roots_keep_value_and_form(roots):
+    # a shared factor g leaves the root as +g: its sign shows at nu = -0.4 too
+    for x in roots:
+        for y in roots:
+            for nu in NU_GRID + (-0.4,):
+                expected = numeric_eval(x, nu) * numeric_eval(y, nu)
+                assert abs(numeric_eval(x * y, nu) - expected) <= 1e-12 * (1 + abs(expected))
+    forms = {p for order in permutations(roots) for p in association_orders(list(order))}
+    assert len(forms) == 1
 
 
 def test_radical_str_forms():

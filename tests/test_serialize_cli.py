@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wigneralg import cli, serialize
 from wigneralg.cli import MAX_MATRIX_DIM, MAX_N, RunConfig
-from wigneralg.operators import OperatorMatrix, fock_basis
+from wigneralg.operators import MAX_GRID_NU, OperatorMatrix, fock_basis
 from wigneralg.scalars import GaussianRational, NuPolynomial, RadicalSum
 from wigneralg.serialize import (
     dumps,
@@ -83,6 +84,8 @@ def test_matrix_from_dict_canonicalizes_hand_written_entries():
     three_root_two = OperatorMatrix.from_entries(basis, {(0, 0): RadicalSum.sqrt_poly(18)})
     assert one_entry(term(1, 2), term(1, 8)) == three_root_two  # sqrt(2) + 2*sqrt(2)
     assert one_entry(term(1, 4), term(-2, 1)) == OperatorMatrix.zeros(basis)  # cancels to no entry
+    with pytest.raises(ValueError):  # sqrt(-2) would be a second form of i*sqrt(2)
+        one_entry(term(1, -2))
 
 
 def test_csv_numeric_export():
@@ -382,6 +385,9 @@ def test_cli_verify_strict_flags_caveats():
         (["verify", "--max-n", str(MAX_N + 1)], "--max-n"),
         (["verify", "--max-two-j", "0", "--dims", "4", "4", "--max-n", "4"], "--max-two-j"),
         (["verify", "--max-two-j", "-1"], "--max-two-j"),
+        # finite, but CSV cells would overflow to inf and nan
+        (["so3-rep", "--two-j", "3", "--format", "csv", "--nu", "1e200"], "--nu"),
+        (["numbers", "--format", "csv", "--nu", str(MAX_GRID_NU * 1.01)], "--nu"),
     ],
 )
 def test_cli_rejects_bad_input_in_process(argv, fragment, capsys, monkeypatch):
@@ -468,6 +474,20 @@ def test_cli_output_bytes_pinned(argv, code, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The command lines the benchmark runs, with the exit code and stdout sha256
+# it checks every job against: a change that moves one of these bytes would
+# count every such job as failed.
+BENCHMARK_PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["cli"]
+
+
+@pytest.mark.parametrize("command", sorted(BENCHMARK_PINS))
+def test_cli_output_matches_benchmark_reference(command, capsys):
+    pin = BENCHMARK_PINS[command]
+    assert cli.run(command.split()) == pin["exit_code"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
+
+
 def test_csv_export_bytes_pinned_through_output_file(tmp_path):
     # the CLI streams the CSV operator by operator to the -o file
     out = tmp_path / "ops.csv"
@@ -542,7 +562,7 @@ def cli_case_st(draw):
     case = {
         "command": command,
         "fmt": draw(st.one_of(st.none(), st.sampled_from(["json", "csv", "text"]))),
-        "nus": draw(st.lists(st.sampled_from(["0.25", "nan", "inf", "-inf", "-0.5"]), max_size=2)),
+        "nus": draw(st.lists(st.sampled_from(["0.25", "nan", "inf", "-inf", "-0.5", "1e6", "2e6"]), max_size=2)),
     }
     for flag, strategy in SIZE_ST.items():
         case[flag] = draw(strategy) if stray or flag in CLI_SURFACE[command][1] else None
@@ -561,7 +581,7 @@ def _breaks_a_rule(case):
         return True  # required
     fmt = case["fmt"] or formats[0]
     nus = [float(v) for v in case["nus"]]
-    if any(not math.isfinite(nu) or nu <= -0.5 for nu in nus):
+    if any(not math.isfinite(nu) or nu <= -0.5 or nu > MAX_GRID_NU for nu in nus):
         return True
     if (fmt == "csv" and len(nus) != 1) or (fmt != "csv" and nus):
         return True

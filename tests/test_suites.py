@@ -85,23 +85,27 @@ def test_aggregate_all_pass():
     out = aggregate("family", [report(Verdict.PASS), report(Verdict.PASS)])
     assert out.verdict is Verdict.PASS
     assert out.mode is CheckMode.EXACT and out.max_residual == 0.0
+    numeric = [report(Verdict.PASS, residual=r, mode=CheckMode.NUMERIC) for r in (1e-15, 3e-14)]
+    out = aggregate("family", numeric)
+    assert out.mode is CheckMode.NUMERIC and out.max_residual == 3e-14
 
 
-def test_numeric_verified_fallback_surfaces_in_reports():
-    # two matrices equal in value but with unmerged canonical forms: the
-    # check falls back to sampling and reports a numeric-verified caveat
+def test_once_unmerged_values_pass_check_relation_exactly():
+    # (a*b)*b and a*(b*b), and sqrt(2+4nu)*sqrt(3+6nu) and (1+2nu)*sqrt(6),
+    # have one canonical form, so no entry needs sampled values
+    a, b = RadicalSum.sqrt_poly(deformed_number(1)), RadicalSum.sqrt_poly(deformed_number(3))
+    shared = RadicalSum.sqrt_poly(NuPolynomial.from_coeffs([2, 4])) * RadicalSum.sqrt_poly(
+        NuPolynomial.from_coeffs([3, 6])
+    )
     basis = fock_basis(2)
-    hidden = OperatorMatrix.from_entries(
-        basis, {(0, 0): RadicalSum.sqrt_poly(deformed_number(1) * deformed_number(1))}
+    left = OperatorMatrix.from_entries(basis, {(0, 0): (a * b) * b, (1, 1): shared})
+    right = OperatorMatrix.from_entries(
+        basis, {(0, 0): a * (b * b), (1, 1): RadicalSum.sqrt_poly(6) * deformed_number(1)}
     )
-    plain = OperatorMatrix.from_entries(
-        basis, {(0, 0): RadicalSum.from_polynomial(deformed_number(1))}
-    )
-    out = check_relation("unmerged", hidden, plain)
-    assert out.verdict is Verdict.PASS_WITH_CAVEAT
-    assert out.mode is CheckMode.MIXED
-    assert "numeric-verified" in out.caveat
-    assert out.max_residual <= 1e-12
+    out = check_relation("once unmerged", left, right)
+    assert (out.verdict, out.mode, out.max_residual, out.caveat) == (Verdict.PASS, CheckMode.EXACT, 0.0, None)
+    with pytest.raises(ValueError):  # a hidden square has no canonical form
+        RadicalSum.sqrt_poly(deformed_number(1) * deformed_number(1))
 
 
 def as_dicts(reports):

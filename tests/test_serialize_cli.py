@@ -464,6 +464,9 @@ BYTE_PINS = [
      "1e70798f9a8ffe1f38f876c69a746b4a1f2b43c2dcdd34249c1d0d634d26c64a"),
     (["hp-rep", "--two-j", "1"], 1,
      "1864d368ebda2551a5639316618060a01546a1368e81226411782f0e477d79e1"),
+    # JS, HP and so_nu(3) products up to dim 41, JS blocks cut from 12x12 composites
+    (["verify", "--max-two-j", "40", "--dims", "12", "12", "--max-n", "20"], 0,
+     "049fb0af91b124a7fe05e75321fa96e79137ff23bab2f440572686c70f3f1cce"),
 ]
 
 

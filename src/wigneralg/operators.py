@@ -1,9 +1,11 @@
-"""Sparse labeled matrices over radical sums and the relation-checking engine.
+"""Banded labeled matrices over radical sums and the relation-checking engine.
 
-An `OperatorMatrix` stores only its nonzero entries, row by row in column
-order.  The operators built here (ladder, number and parity operators and
-their Kronecker products) have a few nonzeros per row, so products, sums,
-relation checks and exports cost O(nnz), not O(dim^2).
+An `OperatorMatrix` stores its nonzero diagonals ("bands"), one tuple per
+offset.  The operators built here (ladder, number and parity operators, the
+spin generators and their Kronecker products) are weighted shifts with one
+or two bands, so products, sums, relation checks and exports cost
+O(bands * dim), not O(dim^2).  Each operation memoizes its scalar results
+by the ids of their operand objects for the length of one call only.
 """
 
 from __future__ import annotations
@@ -95,53 +97,86 @@ def spin_basis(two_j: int) -> Tuple[SpinLabel, ...]:
 ########################################################################
 
 
-class _KernelRows(tuple):
-    """Rows an operation below built from canonical operands: trusted by the constructor."""
+class _Bands(dict):
+    """Offset -> band, built canonical by an operation below: stored without checks."""
 
     __slots__ = ()
 
 
+def _kept(acc: Dict[int, Sequence[RadicalSum]]) -> _Bands:
+    """The bands of ``acc`` in offset order, zero cells as R_ZERO, all-zero bands dropped."""
+    return _Bands(
+        (k, tuple([v if v.terms else R_ZERO for v in acc[k]])) for k in sorted(acc) if any(v.terms for v in acc[k])
+    )
+
+
+def _entrywise(combine, dim: int, left: Dict[int, tuple], right: Dict[int, tuple]) -> _Bands:
+    """combine(left entry, right entry) on every offset of either side.
+
+    Computed once per call for each distinct pair of entry objects: ``R``
+    holds only R_ONE and R_MINUS_ONE, and a tensor factor repeats its entries.
+    """
+    memo: Dict[Tuple[int, int], RadicalSum] = {}
+    zero_band = (R_ZERO,) * dim
+    acc = {}
+    for k in left.keys() | right.keys():
+        acc[k] = values = []
+        for v, w in zip(left.get(k, zero_band), right.get(k, zero_band)):
+            key = (id(v), id(w))
+            u = memo.get(key)
+            if u is None:
+                u = memo[key] = combine(v, w)
+            values.append(u)
+    return _kept(acc)
+
+
 class OperatorMatrix:
-    """Square matrix on a labeled basis, stored as its nonzero entries.
+    """Square matrix on a labeled basis, stored as its nonzero diagonals.
 
-    Row ``i`` is a tuple of ``(column, value)`` pairs with strictly increasing
-    columns and no zero value, so the stored form is canonical and equality
-    and hashing compare it directly.
+    ``_bands`` maps an offset ``k`` to a band: a tuple of length ``dim``
+    whose entry ``i`` holds ``X[i, i+k]``.  Empty and out-of-range cells hold
+    ``R_ZERO`` and no band is all zero, so the stored form is canonical and
+    equality and hashing compare it directly.
 
-    The constructor validates that form, and the basis, for rows from
-    outside (the public constructor, ``from_entries``, deserialization).
-    The operations of this module (``@``, the bracket kernel behind
-    ``commutator`` and ``anticommutator``, ``+``, ``-``, ``scale``,
-    ``adjoint``, ``tensor``) keep the form by construction from canonical
-    operands on a validated basis, so they pass their rows as
-    ``_KernelRows`` and the constructor stores them without re-checking.
+    The constructor validates its rows, and the basis, for input from
+    outside (the public constructor, ``from_entries``, deserialization),
+    and converts them to bands.  The operations of this module (``@``, the
+    bracket kernel behind ``commutator`` and ``anticommutator``, ``+``,
+    ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands from
+    canonical operands and pass them as ``_Bands``, stored unchecked.  They
+    memoize scalar results by operand ids within one call; nothing is cached
+    across calls.  ``row_nonzeros()`` is derived on first use and kept.
     """
 
-    __slots__ = ("dim", "basis", "_rows")
+    __slots__ = ("dim", "basis", "_bands", "_nonzeros")
 
     def __init__(self, basis: Sequence[BasisLabel], rows: Sequence[Sequence[Tuple[int, RadicalSum]]]):
-        if type(rows) is _KernelRows:
-            dim = len(basis)
-            rows = tuple(rows)  # a plain tuple, so row_nonzeros() is never trusted input
+        nonzeros = None
+        if type(rows) is _Bands:
+            dim, bands = len(basis), rows
         else:
             basis = tuple(basis)
             dim = len(basis)
             if len(set(basis)) != dim:
                 raise ValueError("basis labels must be pairwise distinct")
-            rows = tuple(tuple(map(tuple, row)) for row in rows)
-            if len(rows) != dim:
+            nonzeros = tuple(tuple(map(tuple, row)) for row in rows)
+            if len(nonzeros) != dim:
                 raise ValueError("need exactly one row per basis label")
-            for row in rows:
+            cells: Dict[int, List[RadicalSum]] = {}
+            for i, row in enumerate(nonzeros):
                 last = -1
                 for j, value in row:
                     if not last < j < dim:
                         raise ValueError("row columns must be in range and strictly increasing")
                     if not value.terms:
                         raise ValueError("rows must not store zero values")
+                    cells.setdefault(j - i, [R_ZERO] * dim)[i] = value
                     last = j
+            bands = _kept(cells)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_bands", bands)
+        object.__setattr__(self, "_nonzeros", nonzeros)
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("OperatorMatrix is immutable")
@@ -176,76 +211,64 @@ class OperatorMatrix:
     @property
     def rows(self) -> Tuple[Tuple[RadicalSum, ...], ...]:
         """Dense dim x dim view, zeros included, built on each access."""
-        zero = RadicalSum.zero()
-        dense = []
-        for row in self._rows:
-            cells = [zero] * self.dim
-            for j, value in row:
-                cells[j] = value
-            dense.append(tuple(cells))
-        return tuple(dense)
+        dim = self.dim
+        dense = [[R_ZERO] * dim for _ in range(dim)]
+        for k, band in self._bands.items():
+            for i in range(max(0, -k), min(dim, dim - k)):
+                dense[i][i + k] = band[i]
+        return tuple(map(tuple, dense))
 
     def entry(self, i: int, j: int) -> RadicalSum:
-        return dict(self._rows[i]).get(j, RadicalSum.zero())
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError("entry out of range")
+        band = self._bands.get(j - i)
+        return R_ZERO if band is None else band[i]
 
     def row_nonzeros(self) -> Tuple[Tuple[Tuple[int, RadicalSum], ...], ...]:
-        return self._rows
+        """Each row's ``(column, value)`` pairs, columns increasing, zeros left out."""
+        if self._nonzeros is None:
+            rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
+            for k in sorted(self._bands):
+                for i, value in enumerate(self._bands[k]):
+                    if value.terms:
+                        rows[i].append((i + k, value))
+            object.__setattr__(self, "_nonzeros", tuple(map(tuple, rows)))
+        return self._nonzeros
 
     def _require_same_space(self, other: "OperatorMatrix") -> None:
         if self.basis is not other.basis and self.basis != other.basis:
             raise DimensionMismatchError("operators act on different labeled spaces")
 
-    def _merge(self, other: "OperatorMatrix", combine, cancels: bool) -> "OperatorMatrix":
-        """Row-by-row merge: combine(self_value, other_value) where other has an entry.
-
-        With ``cancels`` (subtraction), equal canonical rows merge to an empty row.
-        """
-        self._require_same_space(other)
-        rows = []
-        for self_row, other_row in zip(self._rows, other._rows):
-            if not other_row:
-                rows.append(self_row)
-            elif cancels and self_row == other_row:
-                rows.append(())
-            else:
-                acc = dict(self_row)
-                for j, value in other_row:
-                    acc[j] = combine(acc.get(j, R_ZERO), value)
-                rows.append(tuple([(j, v) for j, v in sorted(acc.items()) if v.terms]))
-        return OperatorMatrix(self.basis, _KernelRows(rows))
-
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._merge(other, RadicalSum.__add__, False)
+        self._require_same_space(other)
+        return OperatorMatrix(self.basis, _entrywise(RadicalSum.__add__, self.dim, self._bands, other._bands))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._merge(other, RadicalSum.__sub__, True)
+        self._require_same_space(other)
+        return OperatorMatrix(self.basis, _entrywise(RadicalSum.__sub__, self.dim, self._bands, other._bands))
 
     def __neg__(self) -> "OperatorMatrix":
-        rows = (tuple([(j, -v) for j, v in row]) for row in self._rows)
-        return OperatorMatrix(self.basis, _KernelRows(rows))
+        return OperatorMatrix(self.basis, _entrywise(lambda v, _: -v, self.dim, self._bands, {}))
 
     def scale(self, factor) -> "OperatorMatrix":
         factor = RadicalSum.coerce(factor)
-        rows = (tuple([(j, p) for j, v in row if (p := factor * v).terms]) for row in self._rows)
-        return OperatorMatrix(self.basis, _KernelRows(rows))
+        return OperatorMatrix(self.basis, _entrywise(lambda v, _: factor * v, self.dim, self._bands, {}))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return _products(((self, other, False),))
 
     def adjoint(self) -> "OperatorMatrix":
-        rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
-        for i, row in enumerate(self._rows):
-            for j, value in row:
-                rows[j].append((i, value.conjugate()))
-        return OperatorMatrix(self.basis, _KernelRows(map(tuple, rows)))
+        # band k's entry i, X[i, i+k], moves to entry i+k of band -k: a rotation by k
+        conj = _entrywise(lambda v, _: v.conjugate(), self.dim, self._bands, {})
+        return OperatorMatrix(self.basis, _Bands((-k, conj[k][-k:] + conj[k][:-k]) for k in reversed(conj)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return self.basis == other.basis and self._rows == other._rows
+        return self.basis == other.basis and self._bands == other._bands
 
     def __hash__(self):
-        return hash((self.basis, self._rows))
+        return hash((self.basis, tuple(sorted(self._bands.items()))))
 
     def __str__(self) -> str:
         cells = [[str(v) for v in row] for row in self.rows]
@@ -256,27 +279,40 @@ class OperatorMatrix:
 def _products(terms: Sequence[Tuple[OperatorMatrix, OperatorMatrix, bool]]) -> OperatorMatrix:
     """The sum of X @ Y, negated where asked, over ``(X, Y, negate)`` terms.
 
-    Every product x_ik * y_kj is added into one dict per row, so a bracket
-    builds no intermediate matrix and needs no merge pass.
+    Band k of X and band l of Y add ``X_k[i] * Y_l[i+k]`` into entry i of
+    band k+l, so a bracket builds no intermediate matrix.  Each product is
+    computed once per call for its unordered pair of entry objects (canonical
+    forms make x*y and y*x one form), and each sum once for its two operand
+    objects.  The memos die with the call; their keys' objects stay alive in
+    the operands' bands and in the memos' values until then.
     """
     first = terms[0][0]
     for x, y, _ in terms:
         first._require_same_space(x)
         first._require_same_space(y)
-    rows = []
-    for i in range(first.dim):
-        acc: Dict[int, RadicalSum] = {}
-        for x, y, negate in terms:
-            y_rows = y._rows
-            for k, x_ik in x._rows[i]:
-                for j, y_kj in y_rows[k]:
-                    prod = x_ik * y_kj
-                    if j in acc:
-                        acc[j] = acc[j] - prod if negate else acc[j] + prod
+    dim, zero = first.dim, R_ZERO
+    products: Dict[Tuple[int, int], RadicalSum] = {}
+    sums: Dict[Tuple[int, int, bool], RadicalSum] = {}  # cur -/+ product, as the products repeat
+    acc: Dict[int, List[RadicalSum]] = {}
+    for x, y, negate in terms:
+        for k, x_band in x._bands.items():
+            for l, y_band in y._bands.items():
+                m = k + l
+                lo, hi = max(0, -k, -m), min(dim, dim - k, dim - m)
+                out = acc.setdefault(m, [zero] * dim)
+                for i, x_i, y_i in zip(range(lo, hi), x_band[lo:hi], y_band[lo + k : hi + k]):
+                    if x_i is zero or y_i is zero:
+                        continue
+                    a, b = id(x_i), id(y_i)
+                    key = (a, b) if a < b else (b, a)
+                    prod = products.get(key) or products.setdefault(key, x_i * y_i)
+                    cur = out[i]
+                    if cur is zero and not negate:
+                        out[i] = prod
                     else:
-                        acc[j] = -prod if negate else prod
-        rows.append(tuple([(j, v) for j, v in sorted(acc.items()) if v.terms]))
-    return OperatorMatrix(first.basis, _KernelRows(rows))
+                        key = (id(cur), id(prod), negate)
+                        out[i] = sums.get(key) or sums.setdefault(key, cur - prod if negate else cur + prod)
+    return OperatorMatrix(first.basis, _kept(acc))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -293,30 +329,28 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
     """Kronecker product of two Fock-basis operators with two-mode labels.
 
     The first factor carries the major index, so the result is row-major in
-    (n1, n2).  ``_basis`` is an earlier product's basis on the same factor
-    bases, passed so that products share one basis object.
+    (n1, n2) and bands k1 of a and k2 of b fill band k1*d2 + k2.
+    ``_basis`` is an earlier product's basis on the same factor bases, passed
+    so that products share one basis object.
     """
-    if not all(isinstance(l, FockLabel) for l in a.basis) or not all(
-        isinstance(l, FockLabel) for l in b.basis
-    ):
+    if not all(isinstance(label, FockLabel) for label in a.basis + b.basis):
         raise DimensionMismatchError("tensor factors must both carry Fock bases")
-    d2 = b.dim
+    d1, d2 = a.dim, b.dim
     if _basis is None:
         _basis = tuple(TwoModeLabel(la.n, lb.n) for la in a.basis for lb in b.basis)
-    basis = _basis
-    b_rows = b.row_nonzeros()
-    rows = []
-    for a_row in a.row_nonzeros():
-        for b_row in b_rows:
-            row = []
-            for j1, va in a_row:
-                for j2, vb in b_row:
-                    value = va * vb
-                    if value.terms:
-                        row.append((j1 * d2 + j2, value))
-            rows.append(tuple(row))
+    acc: Dict[int, List[RadicalSum]] = {}
+    for k1, a_band in a._bands.items():
+        for k2, b_band in b._bands.items():
+            # (k1, k2) and (k1 + 1, k2 - d2) share a band but fill disjoint cells
+            out = acc.setdefault(k1 * d2 + k2, [R_ZERO] * (d1 * d2))
+            for i1 in range(max(0, -k1), min(d1, d1 - k1)):
+                va = a_band[i1]
+                if va is not R_ZERO:
+                    for i2 in range(max(0, -k2), min(d2, d2 - k2)):
+                        if b_band[i2] is not R_ZERO:
+                            out[i1 * d2 + i2] = va * b_band[i2]
     # distinct Fock labels give distinct two-mode labels
-    return OperatorMatrix(basis, _KernelRows(rows))
+    return OperatorMatrix(_basis, _kept(acc))
 
 
 ########################################################################
@@ -334,38 +368,33 @@ class RelationSpec(NamedTuple):
 
 
 def check_relation(
-    relation_id: str,
-    lhs: OperatorMatrix,
-    rhs: OperatorMatrix,
-    mask: Optional[Set[int]] = None,
+    relation_id: str, lhs: OperatorMatrix, rhs: OperatorMatrix, mask: Optional[Set[int]] = None
 ) -> AlgebraReport:
     """Exact entrywise comparison on masked rows.
 
-    Canonical forms are complete, so the first entry whose canonical forms
-    differ fails the relation; the report carries that entry as its witness
-    and the residual of :func:`radical_values_equal` at it.
+    Canonical forms are complete, so the first entry, in row-major order,
+    whose canonical forms differ fails the relation; the report carries that
+    entry as its witness and the residual of :func:`radical_values_equal` at
+    it.  Equal bands are skipped whole; of the first unequal masked row of
+    each other band, the lowest row, then the lowest offset, is the witness.
     """
     if lhs.basis is not rhs.basis and lhs.basis != rhs.basis:
         raise DimensionMismatchError("relation sides act on different labeled spaces")
     rows = range(lhs.dim) if mask is None else sorted(mask)
-    lhs_nz = lhs.row_nonzeros()
-    rhs_nz = rhs.row_nonzeros()
-    zero = RadicalSum.zero()
-    for i in rows:
-        if lhs_nz[i] == rhs_nz[i]:  # canonical rows: equal entry by entry
-            continue
-        lrow = dict(lhs_nz[i])
-        rrow = dict(rhs_nz[i])
-        for j in sorted(lrow.keys() | rrow.keys()):
-            le = lrow.get(j, zero)
-            re_ = rrow.get(j, zero)
-            if le == re_:
-                continue
-            _, residual = radical_values_equal(le, re_)
-            return AlgebraReport(
-                relation_id, CheckMode.EXACT, residual, Verdict.FAIL, witness=Witness(i, j, str(re_), str(le))
-            )
-    return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    zero_band = (R_ZERO,) * lhs.dim
+    firsts = []  # (row, offset, lhs entry, rhs entry) of each unequal band's first unequal masked row
+    for k in lhs._bands.keys() | rhs._bands.keys():
+        left, right = lhs._bands.get(k, zero_band), rhs._bands.get(k, zero_band)
+        i = None if left == right else next((i for i in rows if left[i] != right[i]), None)
+        if i is not None:
+            firsts.append((i, k, left[i], right[i]))
+    if not firsts:
+        return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, Verdict.PASS)
+    i, k, le, re_ = min(firsts, key=lambda first: first[:2])
+    _, residual = radical_values_equal(le, re_)
+    return AlgebraReport(
+        relation_id, CheckMode.EXACT, residual, Verdict.FAIL, witness=Witness(i, i + k, str(re_), str(le))
+    )
 
 
 @dataclass(frozen=True)
@@ -417,8 +446,10 @@ def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
     Public API and the dense reference the tests hold the numeric grid to;
     the audits themselves evaluate stored entries only and never load numpy.
     """
-    import numpy as np  # only this dense view needs numpy; keeps start-up light
-
+    try:
+        import numpy as np  # only this dense view needs numpy; keeps start-up light
+    except ImportError as exc:
+        raise ImportError("eval_matrix needs numpy: pip install 'wigneralg[dense]'") from exc
     _require_grid((nu,))
     out = np.zeros((a.dim, a.dim), dtype=complex)
     for i, row in enumerate(a.row_nonzeros()):

@@ -350,14 +350,6 @@ class NuPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "NuPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = P_ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def conjugate(self) -> "NuPolynomial":
         if not self.im:
             return self
@@ -697,6 +689,8 @@ class RadicalSum:
     __radd__ = __add__
 
     def __sub__(self, other) -> "RadicalSum":
+        if self is other:
+            return R_ZERO
         if not isinstance(other, RadicalSum):
             other = RadicalSum.coerce(other)
         t1, t2 = self.terms, other.terms

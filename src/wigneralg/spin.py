@@ -23,38 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    DimensionTooSmallError,
-    InvalidSpinError,
-    NonInvariantSubspaceError,
-    OddTwoJNotClosedError,
-)
-from .operators import (
-    NU_GRID,
-    Caveat,
-    OperatorMatrix,
-    RelationSpec,
-    _products,
-    anticommutator,
-    check_relation,
-    check_specs,
-    commutator,
-    fock_basis,
-    spin_basis,
-)
+from .errors import DimensionTooSmallError, InvalidSpinError, NonInvariantSubspaceError, OddTwoJNotClosedError
+from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, _products, anticommutator, check_relation
+from .operators import check_specs, commutator, fock_basis, spin_basis
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
-from .scalars import (
-    HALF,
-    NuPolynomial,
-    P_I,
-    P_NU,
-    P_TWO_NU,
-    R_MINUS_ONE,
-    R_ONE,
-    RadicalSum,
-    deformed_number,
-    numeric_eval,
-)
+from .scalars import HALF, P_I, P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
+from .scalars import numeric_eval
 
 
 @dataclass(frozen=True)

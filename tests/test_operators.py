@@ -232,8 +232,26 @@ def test_sparse_operations_match_dense_reference(data):
     ones = [[one] * dim for _ in span]
     paired = [da[i] if i % 2 == 0 else [-v for v in da[i - 1]] for i in span]
     neg = [[-v for v in row] for row in da]
-    parity = OperatorMatrix.diagonal([(R_ONE, R_MINUS_ONE)[i % 2] for i in span], basis)
+    signs = [(R_ONE, R_MINUS_ONE)[i % 2] for i in span]
+    parity = OperatorMatrix.diagonal(signs, basis)
     odd = [[da[i][j] if (i + j) % 2 else zero for j in span] for i in span]
+    # every cell nonzero, so all 2*dim-1 bands are stored
+    full = [[v if v.terms else one for v in row] for row in da]
+    # one entry object in many cells, as a tensor factor's entries repeat down a band
+    shared_value = data.draw(entry_st.filter(lambda v: v.terms), label="shared")
+    shared = [[shared_value if (i + j) % 2 == 0 else zero for j in span] for i in span]
+    # a second tensor factor with only negative offsets
+    span2 = range(dim2)
+    lower = [[(v if v.terms else one) if i > j else zero for j, v in enumerate(row)] for i, row in enumerate(dc)]
+    eye2 = [[one if i == j else zero for j in span2] for i in span2]
+
+    def kron(x, y):
+        return [[x[i1][j1] * y[i2][j2] for j1 in span for j2 in span2] for i1 in span for i2 in span2]
+
+    eye = [[one if i == j else zero for j in span] for i in span]
+    wide_zero = [[zero] * (dim * dim2) for _ in range(dim * dim2)]
+    a_eye = tensor(a, _from_dense(fock_basis(dim2), eye2))
+    b_eye = tensor(b, _from_dense(fock_basis(dim2), eye2))
     results = [
         (a @ b, product),
         (a @ _from_dense(basis, flip), dense_product(da, flip)),
@@ -262,6 +280,18 @@ def test_sparse_operations_match_dense_reference(data):
         # every entry cancels: a with itself, and a parity with an operator that flips it
         (commutator(a, a), [[zero] * dim for _ in span]),
         (anticommutator(parity, _from_dense(basis, odd)), [[zero] * dim for _ in span]),
+        # whole bands cancel while others stay: {R, a} keeps a's even offsets
+        (anticommutator(parity, a), [[(signs[i] + signs[j]) * da[i][j] for j in span] for i in span]),
+        (_from_dense(basis, full) @ _from_dense(basis, full), dense_product(full, full)),
+        (_from_dense(basis, shared) @ a, dense_product(shared, da)),
+        (commutator(_from_dense(basis, shared), _from_dense(basis, shared)), [[zero] * dim for _ in span]),
+        (tensor(a, _from_dense(fock_basis(dim2), lower)), kron(da, lower)),
+        (tensor(_from_dense(basis, full), _from_dense(fock_basis(dim2), lower)), kron(full, lower)),
+        # tensor(x, I) repeats each entry object down its band
+        (a_eye @ b_eye, kron(product, eye2)),
+        (commutator(a_eye, b_eye), kron([[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(product, reverse)], eye2)),
+        # the modes commute: each product meets its mirror and the bracket cancels
+        (commutator(a_eye, tensor(_from_dense(basis, eye), _from_dense(fock_basis(dim2), lower))), wide_zero),
     ]
     for matrix, dense in results:
         _assert_matches_dense(matrix, dense)
@@ -340,6 +370,42 @@ def test_check_relation_mask_and_witness():
     assert (unmasked.witness.row, unmasked.witness.col) == (9, 9)
     # defect at the top row is -[10] = -10: actual = -[9], expected = 1 - 2nu
     assert unmasked.witness.actual == str(RadicalSum.from_polynomial(-deformed_number(9)))
+
+
+def test_check_relation_witness_is_first_unequal_entry_in_row_major_order():
+    basis = fock_basis(5)
+    lhs = OperatorMatrix.from_entries(basis, {(i, j): RadicalSum.coerce(i + j + 1) for i in range(5) for j in range(5)})
+
+    def changed(*cells):
+        return lhs + OperatorMatrix.from_entries(basis, dict.fromkeys(cells, RadicalSum.one()))
+
+    def first(rhs, mask):
+        return next(((i, j) for i in sorted(mask) for j in range(5) if lhs.entry(i, j) != rhs.entry(i, j)), None)
+
+    # several bands differ: the witness is the lowest row, then the lowest column,
+    # not the lowest offset (band 3 at row 0 beats band -2 at row 2) nor the first band
+    cases = [
+        changed((2, 0), (0, 3), (1, 4)),
+        changed((3, 3), (1, 4), (1, 0), (1, 2)),
+        changed((4, 0), (4, 4), (3, 1)),
+    ]
+    for rhs in cases:
+        for mask in (set(range(5)), {1, 3, 4}, {4}, {3, 4}):
+            report = check_relation("shifted", lhs, rhs, mask)
+            if first(rhs, mask) is None:
+                assert report.verdict is Verdict.PASS
+                continue
+            assert report.verdict is Verdict.FAIL
+            row, col = first(rhs, mask)
+            assert (report.witness.row, report.witness.col) == (row, col)
+            assert report.witness.expected == str(rhs.entry(row, col))
+            assert report.witness.actual == str(lhs.entry(row, col))
+    assert [(r.witness.row, r.witness.col) for r in (check_relation("x", lhs, rhs) for rhs in cases)] == [
+        (0, 3),
+        (1, 0),
+        (3, 1),
+    ]
+    assert check_relation("x", lhs, cases[0], {3, 4}).verdict is Verdict.PASS
 
 
 def test_check_relation_symmetric():

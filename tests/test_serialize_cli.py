@@ -529,6 +529,31 @@ def test_cli_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verify_without_numpy_keeps_bytes_and_eval_matrix_names_the_extra():
+    # numpy is the optional `dense` extra: with it unimportable the full audit
+    # prints the same bytes, and eval_matrix says which extra to install
+    code = (
+        "import contextlib, hashlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from wigneralg import cli\n"
+        "from wigneralg.operators import OperatorMatrix, eval_matrix, fock_basis\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert cli.run(['verify', '--all', '--format', 'json']) == 0\n"
+        "print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        "try:\n"
+        "    eval_matrix(OperatorMatrix.identity(fock_basis(2)), 0.0)\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digest, message = proc.stdout.splitlines()
+    pinned = {" ".join(argv): pin for argv, _, pin in BYTE_PINS}
+    assert digest == pinned["verify --all --format json"]
+    assert "wigneralg[dense]" in message
+
+
 # (formats, size flags) each command's parser accepts; the first format is the default
 CLI_SURFACE = {
     "numbers": (("json", "csv"), {"--max-n"}),

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_cross_mode_relations_are_exact_zero():
     for rid in ("[a1,a2] = 0", "[R1,a2] = 0", "[R2,a1] = 0", "[a1,adag2] = 0"):
         assert reports[rid].verdict is Verdict.PASS
         assert reports[rid].mode.value == "exact"
+
+
+def test_audit_computes_each_scalar_product_once_per_call():
+    # the product kernel memoizes x*y per call by its unordered pair of entry
+    # objects, and tensor(x, I) repeats each entry object down its band; a
+    # kernel without that memo makes 5,296 products here
+    calls = 0
+    multiply = RadicalSum.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    with mock.patch.object(RadicalSum, "__mul__", counting):
+        reports = audit_two_mode(build_two_mode(10, 10))
+    assert all(r.verdict is Verdict.PASS for r in reports)
+    assert 0 < calls <= 2236
 
 
 def test_mode_swap_symmetry():

@@ -140,18 +140,17 @@ class OperatorMatrix:
 
     The constructor validates its rows, and the basis, for input from
     outside (the public constructor, ``from_entries``, deserialization),
-    and converts them to bands.  The operations of this module (``@``, the
-    bracket kernel behind ``commutator`` and ``anticommutator``, ``+``,
-    ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands from
-    canonical operands and pass them as ``_Bands``, stored unchecked.  They
-    memoize scalar results by operand ids within one call; nothing is cached
-    across calls.  ``row_nonzeros()`` is derived on first use and kept.
+    and keeps only the bands they convert to.  The operations of this module
+    (``@``, the bracket kernel behind ``commutator`` and ``anticommutator``,
+    ``+``, ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands
+    from canonical operands and pass them as ``_Bands``, stored unchecked.
+    They memoize scalar results by operand ids within one call.  Nothing is
+    cached: ``rows`` and ``row_nonzeros()`` are derived on each call.
     """
 
-    __slots__ = ("dim", "basis", "_bands", "_nonzeros")
+    __slots__ = ("dim", "basis", "_bands")
 
     def __init__(self, basis: Sequence[BasisLabel], rows: Sequence[Sequence[Tuple[int, RadicalSum]]]):
-        nonzeros = None
         if type(rows) is _Bands:
             dim, bands = len(basis), rows
         else:
@@ -159,11 +158,10 @@ class OperatorMatrix:
             dim = len(basis)
             if len(set(basis)) != dim:
                 raise ValueError("basis labels must be pairwise distinct")
-            nonzeros = tuple(tuple(map(tuple, row)) for row in rows)
-            if len(nonzeros) != dim:
+            if len(rows) != dim:
                 raise ValueError("need exactly one row per basis label")
             cells: Dict[int, List[RadicalSum]] = {}
-            for i, row in enumerate(nonzeros):
+            for i, row in enumerate(rows):
                 last = -1
                 for j, value in row:
                     if not last < j < dim:
@@ -176,7 +174,6 @@ class OperatorMatrix:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_bands", bands)
-        object.__setattr__(self, "_nonzeros", nonzeros)
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("OperatorMatrix is immutable")
@@ -225,15 +222,13 @@ class OperatorMatrix:
         return R_ZERO if band is None else band[i]
 
     def row_nonzeros(self) -> Tuple[Tuple[Tuple[int, RadicalSum], ...], ...]:
-        """Each row's ``(column, value)`` pairs, columns increasing, zeros left out."""
-        if self._nonzeros is None:
-            rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
-            for k in sorted(self._bands):
-                for i, value in enumerate(self._bands[k]):
-                    if value.terms:
-                        rows[i].append((i + k, value))
-            object.__setattr__(self, "_nonzeros", tuple(map(tuple, rows)))
-        return self._nonzeros
+        """Each row's ``(column, value)`` pairs, columns increasing, zeros left out; built on each call."""
+        rows: List[List[Tuple[int, RadicalSum]]] = [[] for _ in range(self.dim)]
+        for k in sorted(self._bands):
+            for i, value in enumerate(self._bands[k]):
+                if value.terms:
+                    rows[i].append((i + k, value))
+        return tuple(map(tuple, rows))
 
     def _require_same_space(self, other: "OperatorMatrix") -> None:
         if self.basis is not other.basis and self.basis != other.basis:
@@ -367,6 +362,14 @@ class RelationSpec(NamedTuple):
     mask: Optional[Set[int]] = None
 
 
+def _masked_rows(dim: int, mask: Optional[Set[int]]) -> Sequence[int]:
+    """The rows a relation is checked on, increasing: every row, or the mask's; its ends must be rows."""
+    rows = range(dim) if mask is None else sorted(mask)
+    if rows and not (0 <= rows[0] and rows[-1] < dim):
+        raise ValueError(f"mask row {next(i for i in rows if not 0 <= i < dim)} is outside the rows 0..{dim - 1}")
+    return rows
+
+
 def check_relation(
     relation_id: str, lhs: OperatorMatrix, rhs: OperatorMatrix, mask: Optional[Set[int]] = None
 ) -> AlgebraReport:
@@ -380,7 +383,7 @@ def check_relation(
     """
     if lhs.basis is not rhs.basis and lhs.basis != rhs.basis:
         raise DimensionMismatchError("relation sides act on different labeled spaces")
-    rows = range(lhs.dim) if mask is None else sorted(mask)
+    rows = _masked_rows(lhs.dim, mask)
     zero_band = (R_ZERO,) * lhs.dim
     firsts = []  # (row, offset, lhs entry, rhs entry) of each unequal band's first unequal masked row
     for k in lhs._bands.keys() | rhs._bands.keys():
@@ -459,47 +462,44 @@ def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
 
 
 def numeric_relation_report(
-    spec: RelationSpec, nus: Sequence[float] = NU_GRID, tol: float = 1e-12, *, memo: Optional[dict] = None
+    spec: RelationSpec, nus: Sequence[float] = NU_GRID, tol: float = 1e-12
 ) -> AlgebraReport:
     """Frobenius-norm residual of lhs - rhs over a nu grid, masked rows only.
 
     The grid must be nonempty, each nu finite, > -1/2 and <= MAX_GRID_NU.
-    Each distinct stored entry is evaluated once on the whole grid, into
-    ``memo`` (entry -> values on ``nus``, shareable by reports on one grid);
-    the residual at each nu sums |lhs - rhs|^2 over the stored columns, row by
-    row.
+    Each distinct stored entry is evaluated once on the whole grid, into a
+    memo that lives for this call; the residual at each nu sums
+    |lhs - rhs|^2 over the stored columns, row by row.
     """
     _require_grid(nus)
     if max(nus) > MAX_GRID_NU:
         raise ValueError(f"the numeric grid needs nu <= {MAX_GRID_NU:g}, got {max(nus)}")
-    memo = {} if memo is None else memo
+    rows = _masked_rows(spec.lhs.dim, spec.mask)
+    memo: Dict[RadicalSum, Tuple[complex, ...]] = {}
 
     def on_grid(row):
         for _, value in row:
             if value not in memo:
                 memo[value] = tuple([numeric_eval(value, nu) for nu in nus])
-        return [(j, memo[value]) for j, value in row]
+        return {j: memo[value] for j, value in row}
 
-    rows = range(spec.lhs.dim) if spec.mask is None else sorted(spec.mask)
     lhs_nz, rhs_nz = spec.lhs.row_nonzeros(), spec.rhs.row_nonzeros()
     grid = range(len(nus))
+    zeros = (0j,) * len(nus)
     diff_sq = [0.0] * len(nus)
     lhs_sq = [0.0] * len(nus)
     for i in rows:
         lrow, rrow = lhs_nz[i], rhs_nz[i]
-        if not lrow and not rrow:
-            continue
-        left_row = on_grid(lrow)
+        left = on_grid(lrow)
         # equal canonical rows evaluate alike and add only exact zeros to diff_sq
         if lrow != rrow:
-            right_row = on_grid(rrow)
+            right = on_grid(rrow)
+            columns = left.keys() | right.keys()
             for k in grid:
-                left = {j: values[k] for j, values in left_row}
-                right = {j: values[k] for j, values in right_row}
-                for j in left.keys() | right.keys():
-                    d = left.get(j, 0j) - right.get(j, 0j)
+                for j in columns:
+                    d = left.get(j, zeros)[k] - right.get(j, zeros)[k]
                     diff_sq[k] += d.real * d.real + d.imag * d.imag
-        for k, column in enumerate(zip(*[values for _, values in left_row])):
+        for k, column in enumerate(zip(*left.values())):
             lhs_sq[k] += sum([z.real * z.real + z.imag * z.imag for z in column])
     worst = 0.0
     ok = True

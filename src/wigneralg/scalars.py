@@ -20,7 +20,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NegativeRadicandError
@@ -500,24 +499,17 @@ Term = Tuple[NuPolynomial, NuPolynomial]  # (coefficient polynomial, radicand)
 
 
 def _radicand_sort_key(p: NuPolynomial):
-    """(degree, each coefficient's reduced (numerator, denominator)); radicands are real."""
-    den = p.den
-    if den == 1:
-        return len(p.re) - 1, tuple(zip(p.re, repeat(1)))
-    pairs = []
-    for v in p.re:
-        g = math.gcd(v, den)
-        pairs.append((v // g, den // g))
-    return len(p.re) - 1, tuple(pairs)
+    """(degree, numerators) of a canonical radicand: real, with denominator 1."""
+    return len(p.re) - 1, p.re
 
 
-def _sorted_terms(merged: dict) -> Tuple[Term, ...]:
-    """The nonzero terms of a radicand -> coefficient map, in radicand order."""
-    if len(merged) == 1:
-        ((rad, coeff),) = merged.items()
-        return ((coeff, rad),) if coeff.re else ()
+def _merged(terms: Iterable[Term]) -> "RadicalSum":
+    """The sum of (coefficient, canonical radicand) terms: like radicands merged, zeros dropped, sorted."""
+    merged: dict = {}
+    for coeff, rad in terms:
+        merged[rad] = merged[rad] + coeff if rad in merged else coeff
     items = sorted(merged.items(), key=lambda kv: _radicand_sort_key(kv[0]))
-    return tuple([(coeff, rad) for rad, coeff in items if coeff.re])
+    return RadicalSum(tuple([(coeff, rad) for rad, coeff in items if coeff.re]))
 
 
 def _is_one(p: NuPolynomial) -> bool:
@@ -612,7 +604,7 @@ class RadicalSum:
 
     @staticmethod
     def _from_raw(raw: Iterable[Term]) -> "RadicalSum":
-        merged: dict = {}
+        terms = []
         for coeff, radicand in raw:
             if coeff.is_zero:
                 continue
@@ -625,12 +617,8 @@ class RadicalSum:
             derivative = tuple([k * v for k, v in enumerate(re)][1:])
             if _shared_factor(re, derivative) is not None:  # gcd(p, p') is not constant
                 raise ValueError(f"radicands must not have a repeated factor, got {radicand}")
-            scaled = coeff * mult
-            if canonical in merged:
-                merged[canonical] = merged[canonical] + scaled
-            else:
-                merged[canonical] = scaled
-        return RadicalSum(_sorted_terms(merged))
+            terms.append((coeff * mult, canonical))
+        return _merged(terms)
 
     @staticmethod
     def zero() -> "RadicalSum":
@@ -678,13 +666,7 @@ class RadicalSum:
         if len(t1) == 1 and len(t2) == 1 and t1[0][1] == t2[0][1]:
             coeff = t1[0][0] + t2[0][0]
             return RadicalSum(((coeff, t1[0][1]),)) if coeff.re else R_ZERO
-        merged: dict = {rad: coeff for coeff, rad in t1}
-        for coeff, rad in t2:
-            if rad in merged:
-                merged[rad] = merged[rad] + coeff
-            else:
-                merged[rad] = coeff
-        return RadicalSum(_sorted_terms(merged))
+        return _merged(t1 + t2)
 
     __radd__ = __add__
 
@@ -733,15 +715,7 @@ class RadicalSum:
         if len(t1) == 1 and len(t2) == 1:
             coeff, rad = _term_product(*t1[0], *t2[0])
             return RadicalSum(((coeff, rad),)) if coeff.re else R_ZERO
-        merged: dict = {}
-        for c1, r1 in t1:
-            for c2, r2 in t2:
-                coeff, rad = _term_product(c1, r1, c2, r2)
-                if rad in merged:
-                    merged[rad] = merged[rad] + coeff
-                else:
-                    merged[rad] = coeff
-        return RadicalSum(_sorted_terms(merged))
+        return _merged(_term_product(c1, r1, c2, r2) for c1, r1 in t1 for c2, r2 in t2)
 
     __rmul__ = __mul__
 

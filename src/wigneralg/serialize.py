@@ -52,8 +52,10 @@ def label_from_string(text: str) -> BasisLabel:
         n1, n2 = args.split(",")
         return TwoModeLabel(int(n1), int(n2))
     if kind == "spin":
-        j, m = (Fraction(part) for part in args.split(","))
-        return SpinLabel(int(2 * j), int(2 * m))
+        two_j, two_m = (2 * Fraction(part) for part in args.split(","))
+        if two_j.denominator != 1 or two_m.denominator != 1:
+            raise ValueError(f"spin labels need integer 2j and 2m, got {text!r}")
+        return SpinLabel(int(two_j), int(two_m))
     raise ValueError(f"unknown basis label {text!r}")
 
 
@@ -96,6 +98,8 @@ def matrix_to_dict(matrix: OperatorMatrix) -> dict:
 
 def matrix_from_dict(data: dict) -> OperatorMatrix:
     basis = [label_from_string(text) for text in data["basis"]]
+    if data["dim"] != len(basis):
+        raise ValueError(f"matrix dim {data['dim']} does not match its {len(basis)} basis labels")
     entries = {}
     for item in data["entries"]:
         terms = tuple(

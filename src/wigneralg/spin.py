@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DimensionTooSmallError, InvalidSpinError, NonInvariantSubspaceError, OddTwoJNotClosedError
-from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, _products, anticommutator, check_relation
+from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, anticommutator, check_relation
 from .operators import check_specs, commutator, fock_basis, spin_basis
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import HALF, P_I, P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
@@ -136,7 +136,7 @@ def js_composites(s) -> Dict[str, OperatorMatrix]:
         "J+": ad1 @ a2,
         "J-": a1 @ ad2,
         "J0": (n1 - n2).scale(HALF),
-        "P": _products(((n1, r2, False), (n2, r1, True))),
+        "P": n1 @ r2 - n2 @ r1,
         "K": (r2 - r1).scale(HALF),
         "Q": (r2 + r1).scale(HALF),
         "R_J": r2,
@@ -190,22 +190,26 @@ def cut_js_block(s, composites: Dict[str, OperatorMatrix], two_j: int) -> SuNu2R
 ########################################################################
 
 
+def _bracket_form(rep, z: OperatorMatrix) -> OperatorMatrix:
+    """z + nu P + nu(2nu+1) K, with the P and K of a JS or so_nu(3) rep.
+
+    [J+,J-] is twice it at z = J0.  [Lx,Ly] = (i/2)[J+,J-] is i times it at
+    z = Lz; the printed so(3) bracket, twice it, omits that i/2 (see errata).
+    """
+    return z + rep.p_op.scale(P_NU) + rep.k_op.scale(P_NU * NuPolynomial.from_coeffs([1, 2]))
+
+
 def su_nu2_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     """The full deformed-su(2) relation set; block-invariant, so no masks."""
     identity = OperatorMatrix.identity(rep.basis)
     zero = OperatorMatrix.zeros(rep.basis)
-    bracket_rhs = (
-        rep.j0.scale(2)
-        + rep.p_op.scale(P_TWO_NU)
-        + rep.k_op.scale(P_TWO_NU * NuPolynomial.from_coeffs([1, 2]))
-    )
     return [
         RelationSpec("[J0,J+] = J+", commutator(rep.j0, rep.j_plus), rep.j_plus),
         RelationSpec("[J0,J-] = -J-", commutator(rep.j0, rep.j_minus), -rep.j_minus),
         RelationSpec(
             "[J+,J-] = 2J0 + 2nu P + 2nu(2nu+1) K",
             commutator(rep.j_plus, rep.j_minus),
-            bracket_rhs,
+            _bracket_form(rep, rep.j0).scale(2),
         ),
         RelationSpec("[K,Q] = 0", commutator(rep.k_op, rep.q_op), zero),
         RelationSpec("[K,P] = 0", commutator(rep.k_op, rep.p_op), zero),
@@ -444,22 +448,13 @@ SO3_CAVEATS = {
 }
 
 
-def _so3_bracket_rhs(rep: SoNu3Rep) -> OperatorMatrix:
-    """i(Lz + nu P + nu(2nu+1) K), the form the L definitions actually imply."""
-    return (
-        rep.l_z
-        + rep.p_op.scale(P_NU)
-        + rep.k_op.scale(P_NU * NuPolynomial.from_coeffs([1, 2]))
-    ).scale(P_I)
-
-
 def so_nu3_relation_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     zero = OperatorMatrix.zeros(rep.basis)
     i2 = P_I * 2
     return [
         RelationSpec("[Lz,Lx] = i Ly", commutator(rep.l_z, rep.l_x), rep.l_y.scale(P_I)),
         RelationSpec("[Lz,Ly] = -i Lx", commutator(rep.l_z, rep.l_y), rep.l_x.scale(-P_I)),
-        RelationSpec(SO3_BRACKET_ID, commutator(rep.l_x, rep.l_y), _so3_bracket_rhs(rep)),
+        RelationSpec(SO3_BRACKET_ID, commutator(rep.l_x, rep.l_y), _bracket_form(rep, rep.l_z).scale(P_I)),
         RelationSpec("[K,Q] = 0 (so3)", commutator(rep.k_op, rep.q_op), zero),
         RelationSpec("[K,P] = 0 (so3)", commutator(rep.k_op, rep.p_op), zero),
         RelationSpec("[K,Lz] = 0", commutator(rep.k_op, rep.l_z), zero),
@@ -708,9 +703,7 @@ def errata_findings() -> List[ErratumFinding]:
             RelationSpec(
                 "[Lx,Ly] = 2Lz + 2nu P + 2nu(2nu+1) K (printed)",
                 so3_bracket,
-                so3.l_z.scale(2)
-                + so3.p_op.scale(P_TWO_NU)
-                + so3.k_op.scale(P_TWO_NU * NuPolynomial.from_coeffs([1, 2])),
+                _bracket_form(so3, so3.l_z).scale(2),
             ),
             check_relation("[Lx,Ly] = i(Lz + nu P + nu(2nu+1) K) (derived)", so3_bracket, so3_derived),
         ),

@@ -85,12 +85,12 @@ class Run:
     Shared kinds are built once and kept; any other family, and every spec
     list, lives as long as its caller holds it. ``grid`` plans (relation set,
     sizes) pairs: the first exact check of one samples its specs on the grid.
+    A run keeps those reports; each report evaluates its own entries.
     """
 
     def __init__(self, grid: Sequence[Tuple[str, tuple]] = ()) -> None:
         self._shared: Dict[tuple, object] = {}
         self._grid: Dict[Tuple[str, tuple], Optional[List[AlgebraReport]]] = dict.fromkeys(grid)
-        self._memo: dict = {}  # each distinct entry is evaluated once on the grid
 
     def family(self, kind: str, *sizes: int):
         family = self._shared.get((kind, *sizes))
@@ -105,7 +105,7 @@ class Run:
         family = self.family(RELATION_SETS[name].kind, *sizes)
         specs = RELATION_SETS[name].specs(family)
         if (name, sizes) in self._grid and self._grid[name, sizes] is None:
-            self._grid[name, sizes] = [numeric_relation_report(spec, memo=self._memo) for spec in specs]
+            self._grid[name, sizes] = [numeric_relation_report(spec) for spec in specs]
         return family, specs
 
     def audit(self, name: str, family, specs: Optional[List[RelationSpec]] = None) -> List[AlgebraReport]:
@@ -141,18 +141,12 @@ def aggregate(relation_id: str, reports: Sequence[AlgebraReport]) -> AlgebraRepo
 
 
 def _group_by_suffix(per_instance: List[List[AlgebraReport]], label: str) -> List[AlgebraReport]:
-    """Aggregate parallel report lists that share relation ids positionwise."""
-    if not per_instance:
-        return []
+    """Aggregate parallel report lists that share relation ids, in first-seen id order."""
     grouped: Dict[str, List[AlgebraReport]] = {}
-    order: List[str] = []
     for reports in per_instance:
         for report in reports:
-            if report.relation_id not in grouped:
-                grouped[report.relation_id] = []
-                order.append(report.relation_id)
-            grouped[report.relation_id].append(report)
-    return [aggregate(f"{rid} {label}", grouped[rid]) for rid in order]
+            grouped.setdefault(report.relation_id, []).append(report)
+    return [aggregate(f"{rid} {label}", reports) for rid, reports in grouped.items()]
 
 
 def number_suite(max_n: int = 50) -> List[AlgebraReport]:

@@ -19,6 +19,7 @@ from wigneralg.operators import (
     commutator,
     eval_matrix,
     fock_basis,
+    numeric_relation_report,
     tensor,
 )
 from wigneralg.reports import CheckMode, Verdict
@@ -406,6 +407,26 @@ def test_check_relation_witness_is_first_unequal_entry_in_row_major_order():
         (3, 1),
     ]
     assert check_relation("x", lhs, cases[0], {3, 4}).verdict is Verdict.PASS
+
+
+def test_relation_checks_refuse_mask_rows_outside_the_matrix():
+    s = build_single_mode(4)
+    lhs = commutator(s.a, s.a_dag)
+    rhs = OperatorMatrix.identity(s.a.basis) + s.r_op.scale(poly(0, 2))
+    # the first row outside 0..3 in increasing order is named, wherever the others lie
+    for mask, row in (({-1}, -1), ({4}, 4), ({0, 2, 5, 7}, 5), ({-3, -1, 1}, -3), ({-2, 1, 9}, -2)):
+        for check in (
+            lambda: check_relation("bracket", lhs, rhs, mask),
+            lambda: numeric_relation_report(RelationSpec("bracket", lhs, rhs, mask)),
+        ):
+            with pytest.raises(ValueError, match=f"mask row {row} is outside the rows 0..3"):
+                check()
+    # rows 0..3 are checked as given: the top row carries the truncation defect
+    assert check_relation("bracket", lhs, rhs, {0, 3}).witness.row == 3
+    assert numeric_relation_report(RelationSpec("bracket", lhs, rhs, {3})).verdict is Verdict.FAIL
+    for mask in (set(), {0, 1, 2}):
+        assert check_relation("bracket", lhs, rhs, mask).verdict is Verdict.PASS
+        assert numeric_relation_report(RelationSpec("bracket", lhs, rhs, mask)).verdict is Verdict.PASS
 
 
 def test_check_relation_symmetric():

@@ -519,14 +519,13 @@ def ref_canonical_radicand(values):
 @given(st.lists(part_st, max_size=4))
 def test_canonical_radicand_matches_fraction_reference(values):
     p = NuPolynomial(values)
-    assert _radicand_sort_key(p) == (
-        p.degree,
-        tuple((c.re.numerator, c.re.denominator) for c in p.coeffs),
-    )
     mult, rad = _canonical_radicand(p)
     if p.is_zero:
         assert mult.is_zero and rad.is_zero
         return
+    # stored radicands are canonical: integer numerators over denominator 1
+    assert rad.den == 1
+    assert _radicand_sort_key(rad) == (rad.degree, tuple(c.re.numerator for c in rad.coeffs))
     ref_mult, ref_rad = ref_canonical_radicand([c.re for c in p.coeffs])
     assert mult == NuPolynomial.constant(ref_mult)
     assert rad == NuPolynomial(ref_rad)

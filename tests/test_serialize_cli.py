@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wigneralg import cli, serialize
 from wigneralg.cli import MAX_MATRIX_DIM, MAX_N, RunConfig
-from wigneralg.operators import MAX_GRID_NU, OperatorMatrix, fock_basis
+from wigneralg.operators import MAX_GRID_NU, OperatorMatrix, SpinLabel, fock_basis, spin_basis
 from wigneralg.scalars import GaussianRational, NuPolynomial, RadicalSum
 from wigneralg.serialize import (
     dumps,
@@ -46,6 +46,25 @@ def test_label_roundtrip():
     assert label_to_string(label_from_string("two(2,5)")) == "two(2,5)"
     with pytest.raises(ValueError):
         label_from_string("nope(1)")
+
+
+def test_label_from_string_refuses_spins_without_integer_2j_and_2m():
+    for text in ("spin(1/3,1/3)", "spin(1/2,1/4)", "spin(0.25,0.25)", "spin(1,1/3)"):
+        with pytest.raises(ValueError, match="integer 2j and 2m"):
+            label_from_string(text)
+    assert label_from_string("spin(1,0)") == SpinLabel(2, 0)
+    assert label_from_string("spin(3/2,-1/2)") == SpinLabel(3, -1)
+    for two_j in range(1, 7):
+        for label in spin_basis(two_j):
+            assert label_from_string(label_to_string(label)) == label
+
+
+def test_matrix_from_dict_refuses_a_dim_other_than_the_basis_size():
+    data = {"dim": 5, "basis": ["fock(0)", "fock(1)"], "entries": []}
+    with pytest.raises(ValueError, match="dim 5"):
+        matrix_from_dict(data)
+    data["dim"] = 2
+    assert matrix_from_dict(data) == OperatorMatrix.zeros(fock_basis(2))
 
 
 def test_matrix_roundtrip_exact():

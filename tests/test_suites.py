@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wigneralg import scalars, suites
+from wigneralg import operators, scalars, suites
 from wigneralg.operators import (
     MAX_GRID_NU,
     NU_GRID,
@@ -374,11 +374,23 @@ def bumped_specs(specs):
     return out
 
 
-def test_numeric_grid_matches_dense_reference():
+def count_numeric_evals(monkeypatch):
+    """A list that grows by one for each numeric_eval call the grid makes."""
+    calls = []
+
+    def counting(value, nu):
+        calls.append(nu)
+        return numeric_eval(value, nu)
+
+    monkeypatch.setattr(operators, "numeric_eval", counting)
+    return calls
+
+
+def test_numeric_grid_matches_dense_reference(monkeypatch):
     specs = grid_specs(3, (5, 5), 6)
     reports = numeric_suite(3, (5, 5), single_dim=6)
     assert [r.relation_id for r in reports] == [f"{s.relation_id} @ numeric-grid" for s in specs]
-    # the suite shares one evaluation per distinct entry; residuals are bit-identical alone
+    # each report evaluates its own entries; the suite's reports equal standalone ones
     assert reports == [numeric_relation_report(spec) for spec in specs]
     cases = list(zip(specs, reports))
     cases += [(bumped, numeric_relation_report(bumped)) for bumped in bumped_specs(specs)]
@@ -390,10 +402,10 @@ def test_numeric_grid_matches_dense_reference():
         assert math.isclose(report.max_residual, worst, rel_tol=1e-12), spec.relation_id
         verdicts[ok, worst > 0] += 1
     assert verdicts[True, False] and verdicts[True, True] and verdicts[False, True]
-    memo = {}
+    calls = count_numeric_evals(monkeypatch)
     with pytest.raises(ValueError):  # every nu is checked before any entry is evaluated
-        numeric_relation_report(specs[0], nus=(0.5, -0.6), memo=memo)
-    assert memo == {}
+        numeric_relation_report(specs[0], nus=(0.5, -0.6))
+    assert len(calls) == 0
 
 
 def reference_grid_residual(spec, nus=NU_GRID, tol=1e-12):
@@ -433,12 +445,11 @@ def test_numeric_grid_residuals_are_bit_identical_to_reference():
     specs = grid_specs(8, (10, 10), 12)  # the grid verify runs at its defaults
     assert len(specs) == 113
     cases = specs + bumped_specs(grid_specs(3, (5, 5), 6))
-    memo = {}
     for spec in cases:
         ok, worst, _ = reference_grid_residual(spec)
-        for report in (numeric_relation_report(spec), numeric_relation_report(spec, memo=memo)):
-            assert report.max_residual == worst, spec.relation_id
-            assert report.verdict is (Verdict.PASS if ok else Verdict.FAIL), spec.relation_id
+        report = numeric_relation_report(spec)
+        assert report.max_residual == worst, spec.relation_id
+        assert report.verdict is (Verdict.PASS if ok else Verdict.FAIL), spec.relation_id
     nus = (0.3, 7.0, 0.0)  # another grid, in another order
     for spec in specs[::7]:
         ok, worst, _ = reference_grid_residual(spec, nus)
@@ -457,7 +468,7 @@ def test_numeric_grid_residuals_are_bit_identical_to_reference():
     assert edges
 
 
-def test_numeric_grid_refuses_nan_infinite_and_empty_grids():
+def test_numeric_grid_refuses_nan_infinite_and_empty_grids(monkeypatch):
     s = build_single_mode(4)
     specs = single_mode_relation_specs(s)
     bad = RelationSpec("bad", *specs[0][1:3])  # [a,adag] unmasked: the top row differs by -[dim]
@@ -468,11 +479,11 @@ def test_numeric_grid_refuses_nan_infinite_and_empty_grids():
         unmasked = RelationSpec("bad", *single_mode_relation_specs(build_single_mode(dim))[0][1:3])
         assert numeric_relation_report(unmasked, nus=(MAX_GRID_NU,)).verdict is Verdict.FAIL, dim
     too_large = ((MAX_GRID_NU * (1 + 1e-9),), (0.5, 1e12))
+    calls = count_numeric_evals(monkeypatch)
     for nus in ((math.nan,), (math.inf,), (), (0.5, -math.inf), (0.5, math.nan), (-0.5,), *too_large):
-        memo = {}
         with pytest.raises(ValueError):
-            numeric_relation_report(bad, nus=nus, memo=memo)
-        assert memo == {}
+            numeric_relation_report(bad, nus=nus)
+        assert len(calls) == 0
     for nu in (math.nan, math.inf, -math.inf, -0.5):
         with pytest.raises(ValueError):
             eval_matrix(s.a, nu)

@@ -5,12 +5,17 @@ offset.  The operators built here (ladder, number and parity operators, the
 spin generators and their Kronecker products) are weighted shifts with one
 or two bands, so products, sums, relation checks and exports cost
 O(bands * dim), not O(dim^2).  Each operation memoizes its scalar results
-by the ids of their operand objects for the length of one call only.
+by the ids of their operand objects for the length of one call, except that
+products and brackets inside a relation-set spec function (one decorated
+with :func:`_memo_scope`) share one memo for the length of that spec list.
+No memo outlives the call that made it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
@@ -144,8 +149,10 @@ class OperatorMatrix:
     (``@``, the bracket kernel behind ``commutator`` and ``anticommutator``,
     ``+``, ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands
     from canonical operands and pass them as ``_Bands``, stored unchecked.
-    They memoize scalar results by operand ids within one call.  Nothing is
-    cached: ``rows`` and ``row_nonzeros()`` are derived on each call.
+    They memoize scalar results by operand ids within one call, or, for
+    products and brackets, within one relation-set spec list (see
+    :func:`_memo_scope`).  Nothing is cached on a matrix: ``rows`` and
+    ``row_nonzeros()`` are derived on each call.
     """
 
     __slots__ = ("dim", "basis", "_bands")
@@ -271,23 +278,70 @@ class OperatorMatrix:
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
+class _Memos:
+    """The product and sum memos of ``_products`` for one relation-set spec list.
+
+    Keys are entry ids, so every entry a key names must outlive the memo:
+    CPython reuses a freed object's id, which would return another pair's
+    product.  Products and sums stay alive as memo values; ``keep`` holds
+    the bands of every operand, which may be a temporary of the spec list.
+    """
+
+    __slots__ = ("products", "sums", "keep")
+
+    def __init__(self) -> None:
+        self.products: Dict[Tuple[int, int], RadicalSum] = {}
+        self.sums: Dict[Tuple[int, int, bool], RadicalSum] = {}
+        self.keep: List[Dict[int, tuple]] = []
+
+
+# the memos of the relation-set spec function running in this thread, if any
+_scope: ContextVar[Optional[_Memos]] = ContextVar("wigneralg_memo_scope", default=None)
+
+
+def _memo_scope(spec_function):
+    """Run ``spec_function`` with one set of ``_products`` memos for all its products.
+
+    The relations of one set bracket the same few operators, so their
+    scalar products repeat across specs.  The memos are dropped when the
+    call returns or raises.
+    """
+
+    @functools.wraps(spec_function)
+    def scoped(*args, **kwargs):
+        token = _scope.set(_Memos())
+        try:
+            return spec_function(*args, **kwargs)
+        finally:
+            _scope.reset(token)
+
+    return scoped
+
+
 def _products(terms: Sequence[Tuple[OperatorMatrix, OperatorMatrix, bool]]) -> OperatorMatrix:
     """The sum of X @ Y, negated where asked, over ``(X, Y, negate)`` terms.
 
     Band k of X and band l of Y add ``X_k[i] * Y_l[i+k]`` into entry i of
     band k+l, so a bracket builds no intermediate matrix.  Each product is
-    computed once per call for its unordered pair of entry objects (canonical
-    forms make x*y and y*x one form), and each sum once for its two operand
-    objects.  The memos die with the call; their keys' objects stay alive in
-    the operands' bands and in the memos' values until then.
+    computed once for its unordered pair of entry objects (canonical forms
+    make x*y and y*x one form), and each sum once for its two operand
+    objects: once per call, or once per relation-set spec list inside
+    :func:`_memo_scope`, whose memos keep every operand's bands alive so
+    that no key's id can be reused.
     """
     first = terms[0][0]
     for x, y, _ in terms:
         first._require_same_space(x)
         first._require_same_space(y)
     dim, zero = first.dim, R_ZERO
-    products: Dict[Tuple[int, int], RadicalSum] = {}
-    sums: Dict[Tuple[int, int, bool], RadicalSum] = {}  # cur -/+ product, as the products repeat
+    scope = _scope.get()
+    if scope is None:
+        products: Dict[Tuple[int, int], RadicalSum] = {}
+        sums: Dict[Tuple[int, int, bool], RadicalSum] = {}  # cur -/+ product, as the products repeat
+    else:
+        products, sums = scope.products, scope.sums
+        for x, y, _ in terms:
+            scope.keep += (x._bands, y._bands)
     acc: Dict[int, List[RadicalSum]] = {}
     for x, y, negate in terms:
         for k, x_band in x._bands.items():
@@ -346,6 +400,14 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
                             out[i1 * d2 + i2] = va * b_band[i2]
     # distinct Fock labels give distinct two-mode labels
     return OperatorMatrix(_basis, _kept(acc))
+
+
+def _leading_block(op: OperatorMatrix, basis: Sequence[BasisLabel]) -> OperatorMatrix:
+    """The top-left ``len(basis)``-square block of ``op`` on ``basis``, holding ``op``'s entry objects."""
+    d = len(basis)
+    # band k > 0 loses its last k cells to the cut; band k < 0 starts with -k empty cells
+    cut = {k: band[: d - k] + (R_ZERO,) * k if k > 0 else band[:d] for k, band in op._bands.items() if -d < k < d}
+    return OperatorMatrix(basis, _kept(cut))
 
 
 ########################################################################

@@ -720,6 +720,8 @@ class RadicalSum:
     __rmul__ = __mul__
 
     def conjugate(self) -> "RadicalSum":
+        if self.is_real:
+            return self  # equal entries stay one object; the operator kernel memoizes by id
         return RadicalSum(tuple((c.conjugate(), r) for c, r in self.terms))
 
     @property

@@ -14,6 +14,7 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
+    _memo_scope,
     anticommutator,
     check_relation,
     check_specs,
@@ -52,6 +53,7 @@ def number_mask(dim: int) -> Set[int]:
     return set(range(dim - 1))
 
 
+@_memo_scope
 def single_mode_relation_specs(s: SingleModeSet) -> List[RelationSpec]:
     identity = OperatorMatrix.identity(s.a.basis)
     zero = OperatorMatrix.zeros(s.a.basis)

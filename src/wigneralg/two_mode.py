@@ -14,6 +14,8 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
+    _leading_block,
+    _memo_scope,
     anticommutator,
     check_specs,
     commutator,
@@ -44,8 +46,32 @@ def build_two_mode(d1: int, d2: int) -> TwoModeSet:
     return two_mode_from(build_single_mode(d1), build_single_mode(d2))
 
 
+def _cut_from(small: SingleModeSet, large: SingleModeSet) -> SingleModeSet:
+    """``small`` with each operator that equals the leading block of ``large``'s replaced by that block.
+
+    The modes then share their ``sqrt([n])`` and ``n`` objects, and the
+    product kernel, which memoizes by entry ids, computes a cross-mode
+    product once.  An operator that differs from the block is kept as given.
+    """
+    basis = small.a.basis
+    ops = {}
+    for name in ("a", "a_dag", "n_op", "r_op"):
+        own = getattr(small, name)
+        block = _leading_block(getattr(large, name), basis)
+        ops[name] = block if block == own else own
+    return SingleModeSet(dim=small.dim, **ops)
+
+
 def two_mode_from(m1: SingleModeSet, m2: SingleModeSet) -> TwoModeSet:
-    """The two-mode set of :func:`build_two_mode` from its two single-mode sets."""
+    """The two-mode set of :func:`build_two_mode` from its two single-mode sets.
+
+    The smaller mode (the first at equal dims) takes its operators from the
+    other mode's bands where they are equal, so both modes share entries.
+    """
+    if m1.dim <= m2.dim:
+        m1 = _cut_from(m1, m2)
+    else:
+        m2 = _cut_from(m2, m1)
     i1 = OperatorMatrix.identity(m1.a.basis)
     i2 = OperatorMatrix.identity(m2.a.basis)
     a1 = tensor(m1.a, i2)
@@ -70,6 +96,7 @@ def mode_mask(s: TwoModeSet, mode: int) -> Set[int]:
     }
 
 
+@_memo_scope
 def two_mode_relation_specs(s: TwoModeSet) -> List[RelationSpec]:
     identity = OperatorMatrix.identity(s.basis)
     zero = OperatorMatrix.zeros(s.basis)

@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wigneralg import operators
 from wigneralg.errors import DimensionMismatchError
 from wigneralg.operators import (
     Caveat,
@@ -12,6 +14,7 @@ from wigneralg.operators import (
     RelationSpec,
     SpinLabel,
     TwoModeLabel,
+    _memo_scope,
     _products,
     anticommutator,
     check_relation,
@@ -124,6 +127,41 @@ def test_brackets_match_product_then_merge():
         s = build_two_mode(d1, d2)
         (n1, n2), (r1, r2) = s.n_op, s.r_op
         assert js_composites(s)["P"] == (n1 @ r2) - (n2 @ r1)
+
+
+def test_scoped_memo_survives_freed_temporaries():
+    """Inside one spec-list scope the memos key by entry ids: a dropped temporary must not lend its ids."""
+    s = build_single_mode(6)
+    factors = range(2, 12)
+    expected = [commutator(s.a.scale(f), s.a_dag) for f in factors]
+
+    @_memo_scope
+    def brackets():
+        results = []
+        for f in factors:
+            # scale builds fresh entry objects; the temporary dies after its bracket
+            results.append(commutator(s.a.scale(f), s.a_dag))
+            gc.collect()
+        return results
+
+    assert operators._scope.get() is None
+    assert brackets() == expected
+    assert operators._scope.get() is None
+
+
+def test_scope_is_removed_when_a_spec_function_raises():
+    s = build_single_mode(3)
+
+    @_memo_scope
+    def failing():
+        assert operators._scope.get() is not None
+        commutator(s.a, s.a_dag)
+        raise RuntimeError("spec list failed")
+
+    with pytest.raises(RuntimeError):
+        failing()
+    assert operators._scope.get() is None
+    assert commutator(s.a, s.a_dag) == (s.a @ s.a_dag) - (s.a_dag @ s.a)
 
 
 # ---------------------------------------------------------------- adjoints

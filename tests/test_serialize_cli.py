@@ -499,7 +499,8 @@ def test_cli_output_bytes_pinned(argv, code, digest, capsys):
 # The command lines the benchmark runs, with the exit code and stdout sha256
 # it checks every job against: a change that moves one of these bytes would
 # count every such job as failed.
-BENCHMARK_PINS = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["cli"]
+BENCHMARK_REFERENCE = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+BENCHMARK_PINS = BENCHMARK_REFERENCE["cli"]
 
 
 @pytest.mark.parametrize("command", sorted(BENCHMARK_PINS))
@@ -508,6 +509,21 @@ def test_cli_output_matches_benchmark_reference(command, capsys):
     assert cli.run(command.split()) == pin["exit_code"]
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
+
+
+def test_two_mode_sweep_matches_benchmark_reference():
+    # every pair d1, d2 in 2..10 the two-mode-sweep workload audits, digested
+    # as the benchmark does: sha256 of the JSON (relation id, verdict, mode,
+    # caveat) list; d1 != d2 runs the cut that shares entries between modes
+    pairs = [(d1, d2) for d1 in range(2, 11) for d2 in range(2, 11)]
+    mismatched = []
+    for d1, d2 in pairs:
+        reports = audit_two_mode(build_two_mode(d1, d2))
+        rows = [[r.relation_id, r.verdict.value, r.mode.value, r.caveat] for r in reports]
+        pin = BENCHMARK_REFERENCE["pairs"][f"{d1}x{d2}"]
+        if (hashlib.sha256(json.dumps(rows).encode()).hexdigest(), len(reports)) != (pin["sha256"], pin["verdicts"]):
+            mismatched.append((d1, d2))
+    assert mismatched == []
 
 
 def test_csv_export_bytes_pinned_through_output_file(tmp_path):

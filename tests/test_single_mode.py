@@ -47,6 +47,13 @@ def test_number_operator_is_deformed_diagonal():
     assert prod == expected
 
 
+def test_adag_shares_the_entry_objects_of_a():
+    # real entries conjugate to themselves, so adag holds a's sqrt([n]) objects
+    s = build_single_mode(6)
+    for n in range(1, 6):
+        assert s.a_dag.entry(n, n - 1) is s.a.entry(n - 1, n)
+
+
 def test_audit_passes_for_all_dims():
     for dim in range(2, 26):
         reports = audit_single_mode(build_single_mode(dim))

@@ -107,6 +107,19 @@ def test_extreme_weights_annihilate():
         assert all(rep.j_minus.entry(i, dim - 1).is_zero for i in range(dim))
 
 
+def test_conjugate_still_conjugates_complex_entries():
+    # Ly = (i/2)(J- - J+) has imaginary entries: conjugating one negates it
+    l_y = build_so_nu3(3).l_y
+    entries = [value for row in l_y.row_nonzeros() for _, value in row]
+    assert entries and all(not v.is_real for v in entries)
+    for v in entries:
+        assert v.conjugate() == -v
+        assert v.conjugate().conjugate() == v
+    assert l_y.adjoint() == l_y
+    real = build_so_nu3(3).l_x.entry(0, 1)
+    assert real.is_real and real.conjugate() is real
+
+
 def test_su_nu2_audit_passes():
     for two_j in range(1, 9):
         reports = audit_su_nu2(build_js_spin_rep(two_j))

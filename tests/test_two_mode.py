@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from wigneralg import scalars
 from wigneralg.errors import InvalidDimensionError
 from wigneralg.operators import OperatorMatrix, eval_matrix, tensor
 from wigneralg.reports import Verdict
 from wigneralg.scalars import RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
-from wigneralg.two_mode import audit_two_mode, build_two_mode
+from wigneralg.two_mode import audit_two_mode, build_two_mode, two_mode_from
 
 
 def index_of(s, n1, n2):
@@ -55,6 +57,44 @@ def test_two_mode_operators_share_one_basis():
     assert s.r_op[1] == tensor(OperatorMatrix.identity(m1.a.basis), m2.r_op)
 
 
+def _unshared(m1, m2):
+    """The eight two-mode operators as plain tensor products of each mode's own operators."""
+    i1, i2 = OperatorMatrix.identity(m1.a.basis), OperatorMatrix.identity(m2.a.basis)
+    return [
+        op
+        for name in ("a", "a_dag", "n_op", "r_op")
+        for op in (tensor(getattr(m1, name), i2), tensor(i1, getattr(m2, name)))
+    ]
+
+
+@pytest.mark.parametrize("d1, d2", [(3, 5), (5, 3), (4, 4)])
+def test_two_mode_from_shares_entries_without_changing_operators(d1, d2):
+    m1, m2 = build_single_mode(d1), build_single_mode(d2)
+    s = two_mode_from(m1, m2)
+    shared = [op for pair in (s.a, s.a_dag, s.n_op, s.r_op) for op in pair]
+    for got, want in zip(shared, _unshared(m1, m2)):
+        assert got == want
+        assert hash(got) == hash(want)
+    # both modes hold one sqrt([1]) and one n = 2 object
+    assert s.a[0].entry(index_of(s, 0, 0), index_of(s, 1, 0)) is s.a[1].entry(index_of(s, 0, 0), index_of(s, 0, 1))
+    assert s.n_op[0].entry(index_of(s, 2, 0), index_of(s, 2, 0)) is s.n_op[1].entry(index_of(s, 0, 2), index_of(s, 0, 2))
+    # the given single-mode sets are not changed
+    assert m1 == build_single_mode(d1) and m2 == build_single_mode(d2)
+
+
+def test_two_mode_from_keeps_an_operator_that_differs_from_the_cut():
+    small, large = build_single_mode(3), build_single_mode(5)
+    hand_built = dataclasses.replace(small, a=small.a.scale(2), n_op=small.n_op.scale(3))
+    s = two_mode_from(hand_built, large)
+    for got, want in zip([op for pair in (s.a, s.a_dag, s.n_op, s.r_op) for op in pair], _unshared(hand_built, large)):
+        assert got == want
+    cell = (index_of(s, 0, 0), index_of(s, 1, 0))
+    assert s.a[0].entry(*cell) is hand_built.a.entry(0, 1)
+    assert s.a[0].entry(*cell) is not large.a.entry(0, 1)
+    # the operators that equal the cut are still shared
+    assert s.a_dag[0].entry(*cell[::-1]) is large.a_dag.entry(1, 0)
+
+
 def test_audit_verdicts_pinned():
     # sha256 of every (relation id, verdict, mode, caveat) over dims 2..7 x 2..7:
     # any change to the operator kernel or the scalars must leave it unchanged
@@ -76,22 +116,32 @@ def test_cross_mode_relations_are_exact_zero():
         assert reports[rid].mode.value == "exact"
 
 
-def test_audit_computes_each_scalar_product_once_per_call():
-    # the product kernel memoizes x*y per call by its unordered pair of entry
-    # objects, and tensor(x, I) repeats each entry object down its band; a
-    # kernel without that memo makes 5,296 products here
-    calls = 0
-    multiply = RadicalSum.__mul__
+def test_audit_computes_each_scalar_product_once_per_relation_set():
+    # the product kernel memoizes x*y by its unordered pair of entry objects
+    # for the whole spec list of one relation set, tensor(x, I) repeats each
+    # entry object down its band, adag shares a's entries and the two modes
+    # share their sqrt([n]) and n; a kernel without memos makes 5,296 products
+    # here, and one with a memo per bracket 1,646 (708 term products)
+    calls = term_products = 0
+    multiply, term_product = RadicalSum.__mul__, scalars._term_product
 
     def counting(self, other):
         nonlocal calls
         calls += 1
         return multiply(self, other)
 
-    with mock.patch.object(RadicalSum, "__mul__", counting):
+    def counting_terms(*args):
+        nonlocal term_products
+        term_products += 1
+        return term_product(*args)
+
+    with mock.patch.object(RadicalSum, "__mul__", counting), mock.patch.object(
+        scalars, "_term_product", counting_terms
+    ):
         reports = audit_two_mode(build_two_mode(10, 10))
     assert all(r.verdict is Verdict.PASS for r in reports)
-    assert 0 < calls <= 2236
+    assert 0 < calls <= 885
+    assert 0 < term_products <= 117
 
 
 def test_mode_swap_symmetry():

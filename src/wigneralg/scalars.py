@@ -776,13 +776,13 @@ def numeric_eval(value: Union[NuPolynomial, RadicalSum], nu: float) -> complex:
     return total
 
 
-def radical_values_equal(a: RadicalSum, b: RadicalSum, tol: float = ZERO_TOL):
+def radical_values_equal(a: RadicalSum, b: RadicalSum):
     """Compare two radical sums; returns (status, max_residual).
 
     Canonical forms are complete, so status is "exact" (residual 0.0) when
     they are equal and "different" otherwise.  For a difference the residual
     |a - b| is sampled at nu = 0.5, 1.5, ... (max radicand degree + 2 points,
-    at least 2), stopping at the first point above ``tol * (1 + |a| + |b|)``;
+    at least 2), stopping at the first point above ``ZERO_TOL * (1 + |a| + |b|)``;
     it is what a failing report shows, not what decides.
     """
     diff = a - b
@@ -794,7 +794,7 @@ def radical_values_equal(a: RadicalSum, b: RadicalSum, tol: float = ZERO_TOL):
         value = abs(numeric_eval(diff, nu))
         scale = 1.0 + abs(numeric_eval(a, nu)) + abs(numeric_eval(b, nu))
         worst = max(worst, value)
-        if value > tol * scale:
+        if value > ZERO_TOL * scale:
             break
     return "different", worst
 

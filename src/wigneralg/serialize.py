@@ -96,12 +96,31 @@ def matrix_to_dict(matrix: OperatorMatrix) -> dict:
     }
 
 
+def _field(data: dict, key: str, where: str):
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r}")
+    return data[key]
+
+
+def _index(data: dict, key: str, where: str) -> int:
+    value = _field(data, key, where)
+    if type(value) is not int:  # refuses bool, an int subclass, and 1.0
+        raise ValueError(f"{where} needs an integer {key!r}, got {value!r}")
+    return value
+
+
 def matrix_from_dict(data: dict) -> OperatorMatrix:
-    basis = [label_from_string(text) for text in data["basis"]]
-    if data["dim"] != len(basis):
-        raise ValueError(f"matrix dim {data['dim']} does not match its {len(basis)} basis labels")
+    """The matrix ``matrix_to_dict`` wrote; ``ValueError`` names the field or entry it cannot read."""
+    basis = [label_from_string(text) for text in _field(data, "basis", "matrix")]
+    dim = _index(data, "dim", "matrix")
+    if dim != len(basis):
+        raise ValueError(f"matrix dim {dim} does not match its {len(basis)} basis labels")
     entries = {}
-    for item in data["entries"]:
+    for k, item in enumerate(_field(data, "entries", "matrix")):
+        where = f"entry {k}"
+        cell = (_index(item, "row", where), _index(item, "col", where))
+        if cell in entries:
+            raise ValueError(f"{where} repeats cell {cell}")
         terms = tuple(
             (
                 NuPolynomial.from_coeffs(
@@ -109,9 +128,9 @@ def matrix_from_dict(data: dict) -> OperatorMatrix:
                 ),
                 NuPolynomial.from_coeffs([Fraction(n, d) for n, d in term["radicand"]]),
             )
-            for term in item["terms"]
+            for term in _field(item, "terms", where)
         )
-        entries[(item["row"], item["col"])] = RadicalSum._from_raw(terms)  # canonical, as built
+        entries[cell] = RadicalSum._from_raw(terms)  # canonical, as built
     return OperatorMatrix.from_entries(basis, entries)
 
 

@@ -15,7 +15,7 @@ from .operators import RelationSpec, check_relation, check_specs, numeric_relati
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import _cross_failure, _pair_failure, deformed_number
 from .single_mode import build_single_mode, single_mode_relation_specs, truncation_defect_report
-from .two_mode import two_mode_from, two_mode_relation_specs
+from .two_mode import _from_one_ladder, two_mode_relation_specs
 from .realizations import audit_realizations
 from .spin import (
     JS_OPERATORS,
@@ -42,7 +42,7 @@ from .spin import (
 # Family kind -> builder(run, *sizes); a builder takes the parts it shares from the run.
 KINDS: Dict[str, Callable] = {
     "single-mode": lambda run, dim: build_single_mode(dim),
-    "two-mode": lambda run, d1, d2: two_mode_from(run.family("single-mode", d1), run.family("single-mode", d2)),
+    "two-mode": lambda run, d1, d2: _from_one_ladder(lambda dim: run.family("single-mode", dim), d1, d2),
     "js": lambda run, two_j: build_js_spin_rep(two_j),
     "so3": lambda run, two_j: so_nu3_from(run.family("js", two_j)),
     "hp": lambda run, two_j: build_hp_rep(two_j),

@@ -8,7 +8,7 @@ products satisfy as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Callable, List, Set, Tuple
 
 from .errors import InvalidDimensionError
 from .operators import (
@@ -41,37 +41,32 @@ class TwoModeSet:
 
 def build_two_mode(d1: int, d2: int) -> TwoModeSet:
     """a1 = a (x) I, a2 = I (x) a, and likewise for N and R; row-major in (n1, n2)."""
+    return _from_one_ladder(build_single_mode, d1, d2)
+
+
+def _from_one_ladder(single_mode: Callable[[int], SingleModeSet], d1: int, d2: int) -> TwoModeSet:
+    """The two-mode set at (d1, d2) from ``single_mode(max(d1, d2))``; the smaller mode is its leading block.
+
+    Both modes then hold that set's ``sqrt([n])`` and ``n`` objects, and the
+    product kernel, which memoizes by entry ids, computes a cross-mode
+    product once.
+    """
     if d1 < 2 or d2 < 2:
         raise InvalidDimensionError("two-mode truncation needs d1, d2 >= 2")
-    return two_mode_from(build_single_mode(d1), build_single_mode(d2))
+    ladder = single_mode(max(d1, d2))
 
+    def cut(d: int) -> SingleModeSet:
+        if d == ladder.dim:
+            return ladder
+        basis = ladder.a.basis[:d]
+        ops = (ladder.a, ladder.a_dag, ladder.n_op, ladder.r_op)
+        return SingleModeSet(d, *(_leading_block(op, basis) for op in ops))
 
-def _cut_from(small: SingleModeSet, large: SingleModeSet) -> SingleModeSet:
-    """``small`` with each operator that equals the leading block of ``large``'s replaced by that block.
-
-    The modes then share their ``sqrt([n])`` and ``n`` objects, and the
-    product kernel, which memoizes by entry ids, computes a cross-mode
-    product once.  An operator that differs from the block is kept as given.
-    """
-    basis = small.a.basis
-    ops = {}
-    for name in ("a", "a_dag", "n_op", "r_op"):
-        own = getattr(small, name)
-        block = _leading_block(getattr(large, name), basis)
-        ops[name] = block if block == own else own
-    return SingleModeSet(dim=small.dim, **ops)
+    return two_mode_from(cut(d1), cut(d2))
 
 
 def two_mode_from(m1: SingleModeSet, m2: SingleModeSet) -> TwoModeSet:
-    """The two-mode set of :func:`build_two_mode` from its two single-mode sets.
-
-    The smaller mode (the first at equal dims) takes its operators from the
-    other mode's bands where they are equal, so both modes share entries.
-    """
-    if m1.dim <= m2.dim:
-        m1 = _cut_from(m1, m2)
-    else:
-        m2 = _cut_from(m2, m1)
+    """The two-mode set with mode 1 from ``m1`` and mode 2 from ``m2``, as plain tensor products."""
     i1 = OperatorMatrix.identity(m1.a.basis)
     i2 = OperatorMatrix.identity(m2.a.basis)
     a1 = tensor(m1.a, i2)

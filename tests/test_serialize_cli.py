@@ -67,6 +67,39 @@ def test_matrix_from_dict_refuses_a_dim_other_than_the_basis_size():
     assert matrix_from_dict(data) == OperatorMatrix.zeros(fock_basis(2))
 
 
+def _one_cell(**changes):
+    """A 2x2 matrix with one entry 1 at (0, 1), its entry (or, with ``dim``, its top level) changed."""
+    entry = {"row": 0, "col": 1, "terms": [{"coeff": [{"re": [1, 1], "im": [0, 1]}], "radicand": [[1, 1]]}]}
+    data = {"dim": changes.pop("dim", 2), "basis": ["fock(0)", "fock(1)"], "entries": [entry]}
+    entry.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_one_cell(row=True), "integer 'row'"),
+        (_one_cell(row=0.0), "integer 'row'"),
+        (_one_cell(col=1.0), "integer 'col'"),
+        (_one_cell(col="1"), "integer 'col'"),
+        (_one_cell(dim=2.0), "integer 'dim'"),
+        (_one_cell(dim=True), "integer 'dim'"),
+        ({"dim": 2, "basis": ["fock(0)", "fock(1)"], "entries": [{"row": 0, "col": 1}]}, "entry 0 has no 'terms'"),
+        ({"dim": 2, "basis": ["fock(0)", "fock(1)"], "entries": [{"col": 1, "terms": []}]}, "entry 0 has no 'row'"),
+        ({"basis": ["fock(0)", "fock(1)"], "entries": []}, "matrix has no 'dim'"),
+        (
+            {"dim": 2, "basis": ["fock(0)", "fock(1)"], "entries": _one_cell()["entries"] * 2},
+            r"entry 1 repeats cell \(0, 1\)",
+        ),
+    ],
+)
+def test_matrix_from_dict_refuses_a_malformed_entry(data, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_from_dict(data)
+    # the well-formed matrix reads back
+    assert matrix_from_dict(_one_cell()) == OperatorMatrix.from_entries(fock_basis(2), {(0, 1): 1})
+
+
 def test_matrix_roundtrip_exact():
     for matrix in (
         build_single_mode(5).a,

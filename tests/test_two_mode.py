@@ -5,12 +5,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from wigneralg import scalars
+from wigneralg import scalars, suites
 from wigneralg.errors import InvalidDimensionError
 from wigneralg.operators import OperatorMatrix, eval_matrix, tensor
 from wigneralg.reports import Verdict
 from wigneralg.scalars import RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
+from wigneralg.suites import Run
 from wigneralg.two_mode import audit_two_mode, build_two_mode, two_mode_from
 
 
@@ -68,21 +69,18 @@ def _unshared(m1, m2):
 
 
 @pytest.mark.parametrize("d1, d2", [(3, 5), (5, 3), (4, 4)])
-def test_two_mode_from_shares_entries_without_changing_operators(d1, d2):
-    m1, m2 = build_single_mode(d1), build_single_mode(d2)
-    s = two_mode_from(m1, m2)
+def test_build_two_mode_shares_entries_without_changing_operators(d1, d2):
+    s = build_two_mode(d1, d2)
     shared = [op for pair in (s.a, s.a_dag, s.n_op, s.r_op) for op in pair]
-    for got, want in zip(shared, _unshared(m1, m2)):
+    for got, want in zip(shared, _unshared(build_single_mode(d1), build_single_mode(d2))):
         assert got == want
         assert hash(got) == hash(want)
     # both modes hold one sqrt([1]) and one n = 2 object
     assert s.a[0].entry(index_of(s, 0, 0), index_of(s, 1, 0)) is s.a[1].entry(index_of(s, 0, 0), index_of(s, 0, 1))
     assert s.n_op[0].entry(index_of(s, 2, 0), index_of(s, 2, 0)) is s.n_op[1].entry(index_of(s, 0, 2), index_of(s, 0, 2))
-    # the given single-mode sets are not changed
-    assert m1 == build_single_mode(d1) and m2 == build_single_mode(d2)
 
 
-def test_two_mode_from_keeps_an_operator_that_differs_from_the_cut():
+def test_two_mode_from_tensors_the_sets_it_is_given():
     small, large = build_single_mode(3), build_single_mode(5)
     hand_built = dataclasses.replace(small, a=small.a.scale(2), n_op=small.n_op.scale(3))
     s = two_mode_from(hand_built, large)
@@ -91,8 +89,24 @@ def test_two_mode_from_keeps_an_operator_that_differs_from_the_cut():
     cell = (index_of(s, 0, 0), index_of(s, 1, 0))
     assert s.a[0].entry(*cell) is hand_built.a.entry(0, 1)
     assert s.a[0].entry(*cell) is not large.a.entry(0, 1)
-    # the operators that equal the cut are still shared
-    assert s.a_dag[0].entry(*cell[::-1]) is large.a_dag.entry(1, 0)
+
+
+@pytest.mark.parametrize("dims", [(6, 9), (9, 6)])
+def test_run_cuts_both_modes_from_its_single_mode_set(dims):
+    run = Run()
+    with mock.patch.object(suites, "build_single_mode", wraps=build_single_mode) as builds:
+        s = run.family("two-mode", *dims)
+    # one single-mode set, at the larger dim, serves both modes
+    builds.assert_called_once_with(9)
+    ladder = run.family("single-mode", 9)
+    for mode, dim in enumerate(dims):
+        def at(n):
+            return index_of(s, *((n, 0) if mode == 0 else (0, n)))
+
+        for n in range(1, dim):
+            assert s.a[mode].entry(at(n - 1), at(n)) is ladder.a.entry(n - 1, n)
+            assert s.a_dag[mode].entry(at(n), at(n - 1)) is ladder.a_dag.entry(n, n - 1)
+            assert s.n_op[mode].entry(at(n), at(n)) is ladder.n_op.entry(n, n)
 
 
 def test_audit_verdicts_pinned():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wigneralg.realizations import (
+    BP_ZERO,
     BiPolynomial,
     apply_basis_linear,
     audit_realizations,
@@ -17,6 +18,7 @@ from wigneralg.realizations import (
     phi_coefficients,
     quasi_lowering,
     quasi_raising,
+    realization_matrix_consistency,
 )
 from wigneralg.reports import Verdict
 from wigneralg.scalars import GR_ZERO, GaussianRational, NuPolynomial, deformed_number, format_terms
@@ -157,6 +159,17 @@ def test_audit_realizations():
     assert len(caveats) == 2  # the two relations that rely on the reconstructed R
     assert all("grading" in r.caveat for r in caveats)
     assert len(exact) == 7
+
+
+@pytest.mark.parametrize("change", [lambda f: f.scale(2), lambda f: BP_ZERO], ids=["doubled", "zero"])
+def test_matrix_consistency_fails_at_a_wrong_image(change):
+    # a phi_3 doubled, or zero and so with no phi_2 coefficient at all
+    basis = build_quasi_basis(6)
+    lowered = [quasi_lowering(basis.polys[n]) for n in range(6)]
+    lowered[3] = change(lowered[3])
+    report = realization_matrix_consistency(5, basis, lowered)
+    assert report.verdict is Verdict.FAIL
+    assert report.witness.row == 3
 
 
 def test_audit_requires_min_n():

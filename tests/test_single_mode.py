@@ -98,6 +98,16 @@ def test_truncation_defect_report_compares_rows_below_the_top():
             assert ("masked rows are not exact" in problems) == (masked.verdict is not Verdict.PASS)
 
 
+def test_truncation_defect_report_names_a_bracket_that_does_not_fail_unmasked():
+    # with the bracket as its own right side nothing fails and the top defect is 0
+    s = build_single_mode(5)
+    specs = single_mode_relation_specs(s)
+    report = truncation_defect_report(s, [specs[0]._replace(rhs=specs[0].lhs)] + specs[1:])
+    assert report.verdict is Verdict.FAIL
+    assert (report.witness.row, report.witness.col) == (4, 4)
+    assert report.witness.actual == "unmasked check did not fail; defect 0 differs from -[5] = (-5 - 2*nu)"
+
+
 def test_number_identity_unmasked():
     # N = adag a - nu + nu R holds on every row, including the top one
     s = build_single_mode(7)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from wigneralg.spin import (
     errata_findings,
     extract_js_block,
     hp_diagonal_factor,
+    hp_spectrum_report,
     reference_matrix_registry,
     reference_matrix_reports,
 )
@@ -186,15 +188,22 @@ def test_block_extraction_small_ambient():
 
 
 def test_block_extraction_detects_non_invariant_composites():
-    from dataclasses import replace
-
     from wigneralg.errors import NonInvariantSubspaceError
 
     ambient = build_two_mode(5, 5)
     # a1 @ a1 makes J- drop n1+n2 by one, leaking out of the fixed-2j block
     broken = replace(ambient, a=(ambient.a[0] @ ambient.a[0], ambient.a[1]))
-    with pytest.raises(NonInvariantSubspaceError):
-        extract_js_block(broken, 2)
+    # N1 -> a1 makes J0 lower n1, leaking out too
+    lowering_j0 = replace(ambient, n_op=(ambient.a[0], ambient.n_op[1]))
+    # the message names the first leaking cell in row-major order
+    for family, two_j, message in (
+        (broken, 2, "J- maps block column 10 to outside row 1"),
+        (broken, 3, "J- maps block column 11 to outside row 2"),
+        (lowering_j0, 2, "J0 maps block column 6 to outside row 1"),
+    ):
+        with pytest.raises(NonInvariantSubspaceError) as info:
+            extract_js_block(family, two_j)
+        assert str(info.value) == message
 
 
 def test_block_j0_bookkeeping():
@@ -259,6 +268,16 @@ def test_hp_audit_passes():
         for shift in (1, two_j):
             moved = HPRep(two_j, *(relabel(op, shift) for op in (rep.j_plus, rep.j_minus, rep.j0, rep.r_op)))
             assert [r.verdict for r in audit_hp(moved)] == [r.verdict for r in reports], (two_j, shift)
+
+
+def test_hp_spectrum_report_fails_on_a_scaled_bracket():
+    # J+ and J- scaled by 2 scale the bracket by 4: its spectrum no longer matches the JS block's
+    rep = build_hp_rep(4)
+    doubled = replace(rep, j_plus=rep.j_plus.scale(2), j_minus=rep.j_minus.scale(2))
+    report = hp_spectrum_report(doubled, build_js_spin_rep(4))
+    assert report.verdict is Verdict.FAIL
+    assert report.max_residual == 60.0
+    assert report.witness.actual == "max gap 60.0"
 
 
 def test_hp_odd_refusal_with_leakage():

@@ -168,6 +168,14 @@ def test_suites_all_green_small():
     assert all(r.passed for r in numeric_suite(3, (5, 5), single_dim=6))
 
 
+def test_hp_suite_fails_when_an_odd_two_j_is_not_refused(monkeypatch):
+    monkeypatch.setattr(suites, "build_hp_rep", lambda two_j: None)
+    [refusal] = hp_suite((), (1,))
+    assert refusal.verdict is Verdict.FAIL
+    assert refusal.relation_id == "HP refuses odd two_j=1"
+    assert refusal.witness.actual == "no error raised"
+
+
 def test_verify_all_sections_present():
     sections = verify_all(max_two_j=2, dims=(4, 4), max_n=4, max_number=8, max_single_dim=6)
     assert list(sections) == [

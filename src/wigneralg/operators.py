@@ -5,10 +5,12 @@ offset.  The operators built here (ladder, number and parity operators, the
 spin generators and their Kronecker products) are weighted shifts with one
 or two bands, so products, sums, relation checks and exports cost
 O(bands * dim), not O(dim^2).  Each operation memoizes its scalar results
-by the ids of their operand objects for the length of one call, except that
-products and brackets inside a relation-set spec function (one decorated
-with :func:`_memo_scope`) share one memo for the length of that spec list.
-No memo outlives the call that made it.
+by the ids of their operand objects.  Products and brackets share one memo
+for the length of the relation-set spec function (one decorated with
+:func:`_memo_scope`) they run in, or of their own call outside one; the
+other operations keep theirs for one call.  No memo outlives the call that
+made it.  Only this module reads bands: sub-blocks, such as a truncated
+mode or a fixed-2j block, are cut by :func:`_block`.
 """
 
 from __future__ import annotations
@@ -150,9 +152,9 @@ class OperatorMatrix:
     ``+``, ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands
     from canonical operands and pass them as ``_Bands``, stored unchecked.
     They memoize scalar results by operand ids within one call, or, for
-    products and brackets, within one relation-set spec list (see
-    :func:`_memo_scope`).  Nothing is cached on a matrix: ``rows`` and
-    ``row_nonzeros()`` are derived on each call.
+    products and brackets inside a relation-set spec function, within that
+    spec list (see :func:`_memo_scope`).  Nothing is cached on a matrix:
+    ``rows`` and ``row_nonzeros()`` are derived on each call.
     """
 
     __slots__ = ("dim", "basis", "_bands")
@@ -279,7 +281,7 @@ class OperatorMatrix:
 
 
 class _Memos:
-    """The product and sum memos of ``_products`` for one relation-set spec list.
+    """The product and sum memos of ``_products``, for one relation-set spec list or one call.
 
     Keys are entry ids, so every entry a key names must outlive the memo:
     CPython reuses a freed object's id, which would return another pair's
@@ -325,23 +327,18 @@ def _products(terms: Sequence[Tuple[OperatorMatrix, OperatorMatrix, bool]]) -> O
     band k+l, so a bracket builds no intermediate matrix.  Each product is
     computed once for its unordered pair of entry objects (canonical forms
     make x*y and y*x one form), and each sum once for its two operand
-    objects: once per call, or once per relation-set spec list inside
-    :func:`_memo_scope`, whose memos keep every operand's bands alive so
-    that no key's id can be reused.
+    objects: once per relation-set spec list inside :func:`_memo_scope`,
+    or once per call outside one.  The memos keep every operand's bands
+    alive so that no key's id can be reused.
     """
     first = terms[0][0]
+    memos = _scope.get() or _Memos()
     for x, y, _ in terms:
         first._require_same_space(x)
         first._require_same_space(y)
+        memos.keep += (x._bands, y._bands)
     dim, zero = first.dim, R_ZERO
-    scope = _scope.get()
-    if scope is None:
-        products: Dict[Tuple[int, int], RadicalSum] = {}
-        sums: Dict[Tuple[int, int, bool], RadicalSum] = {}  # cur -/+ product, as the products repeat
-    else:
-        products, sums = scope.products, scope.sums
-        for x, y, _ in terms:
-            scope.keep += (x._bands, y._bands)
+    products, sums = memos.products, memos.sums  # sums: cur -/+ product, as the products repeat
     acc: Dict[int, List[RadicalSum]] = {}
     for x, y, negate in terms:
         for k, x_band in x._bands.items():
@@ -402,12 +399,28 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
     return OperatorMatrix(_basis, _kept(acc))
 
 
-def _leading_block(op: OperatorMatrix, basis: Sequence[BasisLabel]) -> OperatorMatrix:
-    """The top-left ``len(basis)``-square block of ``op`` on ``basis``, holding ``op``'s entry objects."""
-    d = len(basis)
-    # band k > 0 loses its last k cells to the cut; band k < 0 starts with -k empty cells
-    cut = {k: band[: d - k] + (R_ZERO,) * k if k > 0 else band[:d] for k, band in op._bands.items() if -d < k < d}
-    return OperatorMatrix(basis, _kept(cut))
+def _block(
+    op: OperatorMatrix, states: Sequence[int], basis: Sequence[BasisLabel]
+) -> Tuple[OperatorMatrix, Optional[Tuple[int, int]]]:
+    """``op`` restricted to the basis states ``states``, on ``basis``, holding ``op``'s entry objects.
+
+    Block entry (b, c) is ``op[states[b], states[c]]``.  Also returns the
+    first cell (row, column) of ``op``, in row-major order, that maps one of
+    ``states`` to a state outside them, or None if span(states) is invariant.
+    """
+    index = {state: b for b, state in enumerate(states)}
+    cut: Dict[int, List[RadicalSum]] = {}
+    leaks = []
+    for k, band in op._bands.items():
+        for b, state in enumerate(states):
+            # row ``state`` holds op[state, state + k]; column ``state`` holds op[state - k, state]
+            c = index.get(state + k)
+            if c is not None:
+                cut.setdefault(c - b, [R_ZERO] * len(states))[b] = band[state]
+            row = state - k
+            if 0 <= row < op.dim and row not in index and band[row] is not R_ZERO:
+                leaks.append((row, state))
+    return OperatorMatrix(basis, _kept(cut)), min(leaks, default=None)
 
 
 ########################################################################

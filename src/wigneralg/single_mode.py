@@ -100,7 +100,8 @@ def truncation_defect_report(
     specs (computed here when not given).
     """
     relation_id = f"[a,adag] truncation defect at row {s.dim - 1} equals -[{s.dim}]"
-    _, bracket, rhs, _ = (single_mode_relation_specs(s) if specs is None else specs)[0]
+    masked = (single_mode_relation_specs(s) if specs is None else specs)[0]
+    _, bracket, rhs, _ = masked
     unmasked = check_relation("[a,adag] = 1 + 2nu R (unmasked)", bracket, rhs)
     top = s.dim - 1
     problems = []
@@ -108,8 +109,7 @@ def truncation_defect_report(
         problems.append("unmasked check did not fail")
     elif (unmasked.witness.row, unmasked.witness.col) != (top, top):
         problems.append(f"first failure at {unmasked.witness.row},{unmasked.witness.col}")
-    # canonical rows: the masked check passes exactly when the rows below the top are equal
-    if bracket.row_nonzeros()[:top] != rhs.row_nonzeros()[:top]:
+    if check_relation(*masked).verdict is not Verdict.PASS:
         problems.append("masked rows are not exact")
     defect = bracket.entry(top, top) - rhs.entry(top, top)
     expected = RadicalSum.from_polynomial(-deformed_number(s.dim))

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DimensionTooSmallError, InvalidSpinError, NonInvariantSubspaceError, OddTwoJNotClosedError
 from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, anticommutator, check_relation
-from .operators import _memo_scope, check_specs, commutator, fock_basis, spin_basis
+from .operators import _block, _memo_scope, check_specs, commutator, fock_basis, spin_basis
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import HALF, P_I, P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
 from .scalars import numeric_eval
@@ -91,15 +91,11 @@ def build_js_spin_rep(two_j: int) -> SuNu2Rep:
         raise InvalidSpinError("spin representations need 2j >= 1")
     basis = spin_basis(two_j)
     dim = two_j + 1
-    # row index i corresponds to m = j - i, so n1 = 2j - i and n2 = i
-    j_plus = OperatorMatrix.from_entries(
-        basis,
-        {
-            (i - 1, i): RadicalSum.sqrt_poly(deformed_number(two_j - i + 1))
-            * RadicalSum.sqrt_poly(deformed_number(i))
-            for i in range(1, dim)
-        },
-    )
+    # row index i corresponds to m = j - i, so n1 = 2j - i and n2 = i; J+ entry i is
+    # sqrt([2j+1-i]) sqrt([i]), equal to entry 2j+1-i: one object per mirror pair
+    roots = [RadicalSum.sqrt_poly(deformed_number(k)) for k in range(dim)]
+    mirrored = {i: roots[dim - i] * roots[i] for i in range(1, dim // 2 + 1)}
+    j_plus = OperatorMatrix.from_entries(basis, {(i - 1, i): mirrored[min(i, dim - i)] for i in range(1, dim)})
     j0 = OperatorMatrix.diagonal(
         [NuPolynomial.constant(label.m) for label in basis], basis
     )
@@ -161,27 +157,14 @@ def cut_js_block(s, composites: Dict[str, OperatorMatrix], two_j: int) -> SuNu2R
             f"need d1, d2 >= {two_j + 1} to hold the 2j={two_j} block"
         )
     # block row i holds |n1, n2> = |2j - i, i>, i.e. m = j - i descending
-    block = [(two_j - i) * d2 + i for i in range(two_j + 1)]
-    block_set = set(block)
-    block_index = {g: b for b, g in enumerate(block)}
-    target = spin_basis(two_j)
+    states = [(two_j - i) * d2 + i for i in range(two_j + 1)]
+    basis = spin_basis(two_j)
     extracted: Dict[str, OperatorMatrix] = {}
     for name, op in composites.items():
-        nz = op.row_nonzeros()
-        for row in range(op.dim):
-            if row not in block_set:
-                for col, _ in nz[row]:
-                    if col in block_set:
-                        raise NonInvariantSubspaceError(
-                            f"{name} maps block column {col} to outside row {row}"
-                        )
-        entries = {
-            (bi, block_index[j]): value
-            for bi, gi in enumerate(block)
-            for j, value in nz[gi]
-            if j in block_index
-        }
-        extracted[name] = OperatorMatrix.from_entries(target, entries)
+        extracted[name], leak = _block(op, states, basis)
+        if leak is not None:
+            row, col = leak
+            raise NonInvariantSubspaceError(f"{name} maps block column {col} to outside row {row}")
     return SuNu2Rep(two_j, **{field: extracted[name] for name, field in JS_OPERATORS.items()})
 
 

@@ -14,7 +14,7 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
-    _leading_block,
+    _block,
     _memo_scope,
     anticommutator,
     check_specs,
@@ -47,9 +47,10 @@ def build_two_mode(d1: int, d2: int) -> TwoModeSet:
 def _from_one_ladder(single_mode: Callable[[int], SingleModeSet], d1: int, d2: int) -> TwoModeSet:
     """The two-mode set at (d1, d2) from ``single_mode(max(d1, d2))``; the smaller mode is its leading block.
 
-    Both modes then hold that set's ``sqrt([n])`` and ``n`` objects, and the
-    product kernel, which memoizes by entry ids, computes a cross-mode
-    product once.
+    The cut ignores where an operator leaves the block: adag raises its top
+    level out of it by design.  Both modes then hold that set's ``sqrt([n])``
+    and ``n`` objects, and the product kernel, which memoizes by entry ids,
+    computes a cross-mode product once.
     """
     if d1 < 2 or d2 < 2:
         raise InvalidDimensionError("two-mode truncation needs d1, d2 >= 2")
@@ -60,7 +61,7 @@ def _from_one_ladder(single_mode: Callable[[int], SingleModeSet], d1: int, d2: i
             return ladder
         basis = ladder.a.basis[:d]
         ops = (ladder.a, ladder.a_dag, ladder.n_op, ladder.r_op)
-        return SingleModeSet(d, *(_leading_block(op, basis) for op in ops))
+        return SingleModeSet(d, *(_block(op, range(d), basis)[0] for op in ops))
 
     return two_mode_from(cut(d1), cut(d2))
 

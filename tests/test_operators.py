@@ -344,6 +344,22 @@ def test_sparse_operations_match_dense_reference(data):
     assert hash(a + b) == hash(_from_dense(basis, [[da[i][j] + db[i][j] for j in span] for i in span]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_matches_dense_restriction(data):
+    """_block keeps op's entry objects on any list of states and finds the first cell leaving them."""
+    dim = data.draw(st.integers(1, 4), label="dim")
+    dense = _cells(data, dim)
+    op = _from_dense(fock_basis(dim), dense)
+    states = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True), label="states")
+    block, leak = operators._block(op, states, fock_basis(len(states)))
+    _assert_matches_dense(block, [[dense[r][c] for c in states] for r in states])
+    span = range(len(states))
+    assert all(block.entry(b, c) is op.entry(states[b], states[c]) for b in span for c in span)
+    leaks = [(r, c) for r in range(dim) if r not in states for c in states if dense[r][c].terms]
+    assert leak == min(leaks, default=None)
+
+
 def test_ladder_adjoint_pairs():
     for dim in (2, 5, 9):
         s = build_single_mode(dim)

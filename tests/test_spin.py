@@ -169,6 +169,15 @@ def test_condensed_forms_odd():
         assert "printed coefficient 2nu(2nu+j+1) fails" in bracket.caveat
 
 
+def test_js_mirror_entries_are_one_object():
+    # J+ entries i and 2j+1-i are both sqrt([2j+1-i]) sqrt([i]): built once, so the product memo hits
+    for two_j in range(1, 9):
+        j_plus, dim = build_js_spin_rep(two_j).j_plus, two_j + 1
+        for i in range(1, dim):
+            assert j_plus.entry(i - 1, i) is j_plus.entry(dim - i - 1, dim - i)
+            assert j_plus.entry(i - 1, i) == sqrt_prod(dim - i, i)
+
+
 def test_block_extraction_equals_closed_form():
     ambient = build_two_mode(10, 10)
     for two_j in range(1, 9):

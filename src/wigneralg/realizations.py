@@ -388,8 +388,9 @@ def realization_matrix_consistency(
         )
         expected = RadicalSum.from_polynomial(deformed_number(n))
         monomial_coeff = monomial_lowering(monomial_basis(n)).x_coefficient(n - 1)
+        coeffs = phi_coefficients(lowered[n], basis)
         # an image of x-degree below n - 1 has no phi_(n-1) coefficient: read it as zero
-        quasi_coeff = (phi_coefficients(lowered[n], basis)[n - 1 :] or [NuPolynomial.zero()])[0]
+        quasi_coeff = coeffs[n - 1] if n <= len(coeffs) else NuPolynomial.zero()
         if abstract_sq != expected or monomial_coeff != deformed_number(n) or quasi_coeff != deformed_number(n):
             return exact_report(
                 relation_id,

@@ -4,13 +4,18 @@ An `OperatorMatrix` stores its nonzero diagonals ("bands"), one tuple per
 offset.  The operators built here (ladder, number and parity operators, the
 spin generators and their Kronecker products) are weighted shifts with one
 or two bands, so products, sums, relation checks and exports cost
-O(bands * dim), not O(dim^2).  Each operation memoizes its scalar results
-by the ids of their operand objects.  Products and brackets share one memo
-for the length of the relation-set spec function (one decorated with
-:func:`_memo_scope`) they run in, or of their own call outside one; the
-other operations keep theirs for one call.  No memo outlives the call that
-made it.  Only this module reads bands: sub-blocks, such as a truncated
-mode or a fixed-2j block, are cut by :func:`_block`.
+O(bands * dim), not O(dim^2).
+
+Every operation memoizes the entries it computes by the ids of the entry
+objects they are made of (:func:`_memoized`).  ``@``, ``commutator`` and
+``anticommutator`` run one fused kernel, :func:`_fused`: a bracket entry
+``x*y -/+ u*v`` is one lookup under its four entry ids, and only a miss
+reaches the memos of single products and of sums.  These memos last for
+the relation-set spec function (one decorated with :func:`_memo_scope`)
+the kernel runs in, or for its own call outside one; ``+``, ``-``,
+``scale`` and ``adjoint`` keep theirs for one call.  No memo outlives the
+call that made it.  Only this module reads bands: sub-blocks, such as a
+truncated mode or a fixed-2j block, are cut by :func:`_block`.
 """
 
 from __future__ import annotations
@@ -20,11 +25,13 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
+from operator import is_not
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionMismatchError
 from .reports import AlgebraReport, CheckMode, Verdict, Witness
-from .scalars import R_ZERO, RadicalSum, numeric_eval, radical_values_equal
+from .scalars import R_ONE, R_ZERO, RadicalSum, numeric_eval, radical_values_equal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,10 +118,42 @@ class _Bands(dict):
 
 
 def _kept(acc: Dict[int, Sequence[RadicalSum]]) -> _Bands:
-    """The bands of ``acc`` in offset order, zero cells as R_ZERO, all-zero bands dropped."""
-    return _Bands(
-        (k, tuple([v if v.terms else R_ZERO for v in acc[k]])) for k in sorted(acc) if any(v.terms for v in acc[k])
-    )
+    """The bands of ``acc`` in offset order as tuples, all-zero bands dropped.
+
+    Every zero cell of ``acc`` must already be R_ZERO, so that an identity
+    test finds the nonzero bands.  A zero that is another object (a merge
+    can build one) is replaced by R_ZERO where it is made: once per distinct
+    value in :func:`_memoized` and :func:`_sum`, and once per entry in
+    ``diagonal``.  Validated rows hold no zeros, ``_block`` copies stored
+    entries, and products of nonzero entries (``tensor``) are nonzero.
+    """
+    return _Bands((k, tuple(acc[k])) for k in sorted(acc) if any(map(is_not, acc[k], repeat(R_ZERO))))
+
+
+def _checked_basis(basis: Sequence[BasisLabel]) -> Tuple[BasisLabel, ...]:
+    basis = tuple(basis)
+    if len(set(basis)) != len(basis):
+        raise ValueError("basis labels must be pairwise distinct")
+    return basis
+
+
+def _memoized(compute, memo: Dict[Tuple[int, ...], RadicalSum], columns: Sequence[tuple], ids=None) -> list:
+    """compute(*entries) at each position of the equal-length ``columns``, memoized by the entries' ids.
+
+    ``ids`` holds the ids of each column's entries, if the caller has them.
+    A position costs one lookup; a miss computes its value, stored as
+    R_ZERO if it is zero.  The caller keeps every entry a key names alive
+    while ``memo`` is.
+    """
+    values: List[RadicalSum] = []
+    append, get = values.append, memo.get
+    for key, entries in zip(zip(*(ids or [map(id, column) for column in columns])), zip(*columns)):
+        value = get(key)
+        if value is None:
+            value = compute(*entries)
+            value = memo[key] = value if value.terms else R_ZERO
+        append(value)
+    return values
 
 
 def _entrywise(combine, dim: int, left: Dict[int, tuple], right: Dict[int, tuple]) -> _Bands:
@@ -123,18 +162,16 @@ def _entrywise(combine, dim: int, left: Dict[int, tuple], right: Dict[int, tuple
     Computed once per call for each distinct pair of entry objects: ``R``
     holds only R_ONE and R_MINUS_ONE, and a tensor factor repeats its entries.
     """
-    memo: Dict[Tuple[int, int], RadicalSum] = {}
+    memo: Dict[Tuple[int, ...], RadicalSum] = {}
     zero_band = (R_ZERO,) * dim
-    acc = {}
-    for k in left.keys() | right.keys():
-        acc[k] = values = []
-        for v, w in zip(left.get(k, zero_band), right.get(k, zero_band)):
-            key = (id(v), id(w))
-            u = memo.get(key)
-            if u is None:
-                u = memo[key] = combine(v, w)
-            values.append(u)
-    return _kept(acc)
+    offsets = left.keys() | right.keys()
+    return _kept({k: _memoized(combine, memo, (left.get(k, zero_band), right.get(k, zero_band))) for k in offsets})
+
+
+def _each(op, bands: Dict[int, tuple]) -> _Bands:
+    """op(entry) on every entry of ``bands``, once per call for each distinct entry object; op must keep zero."""
+    memo: Dict[Tuple[int, ...], RadicalSum] = {}
+    return _kept({k: _memoized(op, memo, (band,)) for k, band in bands.items()})
 
 
 class OperatorMatrix:
@@ -147,14 +184,16 @@ class OperatorMatrix:
 
     The constructor validates its rows, and the basis, for input from
     outside (the public constructor, ``from_entries``, deserialization),
-    and keeps only the bands they convert to.  The operations of this module
-    (``@``, the bracket kernel behind ``commutator`` and ``anticommutator``,
-    ``+``, ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands
-    from canonical operands and pass them as ``_Bands``, stored unchecked.
-    They memoize scalar results by operand ids within one call, or, for
-    products and brackets inside a relation-set spec function, within that
-    spec list (see :func:`_memo_scope`).  Nothing is cached on a matrix:
-    ``rows`` and ``row_nonzeros()`` are derived on each call.
+    and keeps only the bands they convert to.  ``identity``, ``zeros`` and
+    ``diagonal`` check the basis (and the length of the diagonal) and build
+    their one band directly.  The operations of this module (``@``,
+    ``commutator`` and ``anticommutator`` through :func:`_fused`, ``+``,
+    ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands from
+    canonical operands and pass them as ``_Bands``, stored unchecked.  They
+    memoize the entries they compute by entry ids within one call, or, for
+    the fused kernel inside a relation-set spec function, within that spec
+    list (see :func:`_memo_scope`).  Nothing is cached on a matrix: ``rows``
+    and ``row_nonzeros()`` are derived on each call.
     """
 
     __slots__ = ("dim", "basis", "_bands")
@@ -163,10 +202,8 @@ class OperatorMatrix:
         if type(rows) is _Bands:
             dim, bands = len(basis), rows
         else:
-            basis = tuple(basis)
+            basis = _checked_basis(basis)
             dim = len(basis)
-            if len(set(basis)) != dim:
-                raise ValueError("basis labels must be pairwise distinct")
             if len(rows) != dim:
                 raise ValueError("need exactly one row per basis label")
             cells: Dict[int, List[RadicalSum]] = {}
@@ -189,17 +226,18 @@ class OperatorMatrix:
 
     @staticmethod
     def zeros(basis: Sequence[BasisLabel]) -> "OperatorMatrix":
-        return OperatorMatrix.from_entries(basis, {})
+        return OperatorMatrix(_checked_basis(basis), _Bands())
 
     @staticmethod
     def identity(basis: Sequence[BasisLabel]) -> "OperatorMatrix":
-        return OperatorMatrix.diagonal([RadicalSum.one()] * len(basis), basis)
+        return OperatorMatrix.diagonal([R_ONE] * len(basis), basis)
 
     @staticmethod
     def diagonal(values: Sequence, basis: Sequence[BasisLabel]) -> "OperatorMatrix":
         if len(values) != len(basis):
             raise ValueError("diagonal length must match basis size")
-        return OperatorMatrix.from_entries(basis, {(i, i): v for i, v in enumerate(values)})
+        values = [v if v.terms else R_ZERO for v in map(RadicalSum.coerce, values)]
+        return OperatorMatrix(_checked_basis(basis), _kept({0: values}))
 
     @staticmethod
     def from_entries(basis: Sequence[BasisLabel], entries: Dict[Tuple[int, int], RadicalSum]) -> "OperatorMatrix":
@@ -252,18 +290,17 @@ class OperatorMatrix:
         return OperatorMatrix(self.basis, _entrywise(RadicalSum.__sub__, self.dim, self._bands, other._bands))
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, _entrywise(lambda v, _: -v, self.dim, self._bands, {}))
+        return OperatorMatrix(self.basis, _each(RadicalSum.__neg__, self._bands))
 
     def scale(self, factor) -> "OperatorMatrix":
-        factor = RadicalSum.coerce(factor)
-        return OperatorMatrix(self.basis, _entrywise(lambda v, _: factor * v, self.dim, self._bands, {}))
+        return OperatorMatrix(self.basis, _each(RadicalSum.coerce(factor).__mul__, self._bands))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return _products(((self, other, False),))
+        return _fused(self, other, 0)
 
     def adjoint(self) -> "OperatorMatrix":
         # band k's entry i, X[i, i+k], moves to entry i+k of band -k: a rotation by k
-        conj = _entrywise(lambda v, _: v.conjugate(), self.dim, self._bands, {})
+        conj = _each(RadicalSum.conjugate, self._bands)
         return OperatorMatrix(self.basis, _Bands((-k, conj[k][-k:] + conj[k][:-k]) for k in reversed(conj)))
 
     def __eq__(self, other) -> bool:
@@ -281,19 +318,31 @@ class OperatorMatrix:
 
 
 class _Memos:
-    """The product and sum memos of ``_products``, for one relation-set spec list or one call.
+    """The memos of ``_fused``, for one relation-set spec list or one call.
 
-    Keys are entry ids, so every entry a key names must outlive the memo:
-    CPython reuses a freed object's id, which would return another pair's
-    product.  Products and sums stay alive as memo values; ``keep`` holds
-    the bands of every operand, which may be a temporary of the spec list.
+    ``fused`` maps a sign (0 for ``@``, 1 for ``{A, B}``, -1 for ``[A, B]``)
+    to a memo of whole entries, keyed by the ids of the entry objects that
+    make them: ``(x, y)`` for ``x*y``, ``(x, y, u, v)`` for ``x*y + sign*u*v``.
+    Only a miss there reads ``products``, which holds each scalar product
+    under its unordered pair of entry ids, and ``sums``, which holds each
+    ``p + sign*q`` under the ids of ``p`` and ``q`` and the sign.
+    ``padded`` holds each operand band, and the ids of its entries, with
+    ``dim`` zeros on either side, under the band's id.
+
+    Keys are object ids, so every object a key names must outlive the
+    memo: CPython reuses a freed object's id, which would return another
+    key's value.  Products and sums stay alive as memo values; ``keep``
+    holds the bands of every operand, which may be a temporary of the spec
+    list.
     """
 
-    __slots__ = ("products", "sums", "keep")
+    __slots__ = ("fused", "products", "sums", "padded", "keep")
 
     def __init__(self) -> None:
+        self.fused: Dict[int, Dict[Tuple[int, ...], RadicalSum]] = {0: {}, 1: {}, -1: {}}
         self.products: Dict[Tuple[int, int], RadicalSum] = {}
-        self.sums: Dict[Tuple[int, int, bool], RadicalSum] = {}
+        self.sums: Dict[Tuple[int, int, int], RadicalSum] = {}
+        self.padded: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
         self.keep: List[Dict[int, tuple]] = []
 
 
@@ -302,11 +351,11 @@ _scope: ContextVar[Optional[_Memos]] = ContextVar("wigneralg_memo_scope", defaul
 
 
 def _memo_scope(spec_function):
-    """Run ``spec_function`` with one set of ``_products`` memos for all its products.
+    """Run ``spec_function`` with one set of ``_fused`` memos for all its products and brackets.
 
     The relations of one set bracket the same few operators, so their
-    scalar products repeat across specs.  The memos are dropped when the
-    call returns or raises.
+    entries repeat across specs.  The memos are dropped when the call
+    returns or raises.
     """
 
     @functools.wraps(spec_function)
@@ -320,64 +369,119 @@ def _memo_scope(spec_function):
     return scoped
 
 
-def _products(terms: Sequence[Tuple[OperatorMatrix, OperatorMatrix, bool]]) -> OperatorMatrix:
-    """The sum of X @ Y, negated where asked, over ``(X, Y, negate)`` terms.
+def _product(products: Dict[Tuple[int, int], RadicalSum], x: RadicalSum, y: RadicalSum) -> RadicalSum:
+    """x * y, computed once for its unordered pair of entry objects (x*y and y*x are one canonical form)."""
+    if x is R_ZERO or y is R_ZERO:
+        return R_ZERO
+    a, b = id(x), id(y)
+    key = (a, b) if a < b else (b, a)
+    value = products.get(key)
+    if value is None:
+        value = products[key] = x * y
+    return value
 
-    Band k of X and band l of Y add ``X_k[i] * Y_l[i+k]`` into entry i of
-    band k+l, so a bracket builds no intermediate matrix.  Each product is
-    computed once for its unordered pair of entry objects (canonical forms
-    make x*y and y*x one form), and each sum once for its two operand
-    objects: once per relation-set spec list inside :func:`_memo_scope`,
-    or once per call outside one.  The memos keep every operand's bands
-    alive so that no key's id can be reused.
+
+def _sum(sums: Dict[Tuple[int, int, int], RadicalSum], x: RadicalSum, y: RadicalSum, sign: int = 1) -> RadicalSum:
+    """x + sign*y, computed once for its pair of objects and sign."""
+    if y is R_ZERO:
+        return x
+    if x is R_ZERO and sign > 0:
+        return y
+    key = (id(x), id(y), sign)
+    total = sums.get(key)
+    if total is None:
+        total = x + y if sign > 0 else x - y
+        total = sums[key] = total if total.terms else R_ZERO
+    return total
+
+
+def _bracket_entry(memos: _Memos, sign: int, x, y, u, v) -> RadicalSum:
+    """x*y + sign*u*v, its products from the product memo and its sum from the sum memo."""
+    return _sum(memos.sums, _product(memos.products, x, y), _product(memos.products, u, v), sign)
+
+
+def _cancels(xs: tuple, ys: tuple, us: tuple, vs: tuple) -> bool:
+    """Whether every x*y - u*v of the columns is zero with no arithmetic.
+
+    It is where x is v and y is u, or where both terms have a zero factor.
     """
-    first = terms[0][0]
+    for x, y, u, v in zip(xs, ys, us, vs):
+        if x is v and y is u:
+            continue
+        if x is not R_ZERO and y is not R_ZERO or u is not R_ZERO and v is not R_ZERO:
+            return False
+    return True
+
+
+def _fused(a: OperatorMatrix, b: OperatorMatrix, sign: int) -> OperatorMatrix:
+    """AB (sign 0), AB + BA (sign 1) or AB - BA (sign -1) in one pass, with no intermediate matrix.
+
+    Band k of A and band l of B write entry i of band k+l as
+    ``A_k[i]*B_l[i+k] + sign*B_l[i]*A_k[i+l]``, reading the second factor of
+    each term from a band padded with ``dim`` zeros on each side.  Each entry
+    is looked up in the sign's memo under the ids of its two or four entry
+    objects; on a miss its products come from the product memo and their
+    sum from the sum memo.  A commutator's band pair that cancels entry by
+    entry (:func:`_cancels`) adds nothing and is skipped.  The memos last
+    for the relation-set spec list inside :func:`_memo_scope`, or for this
+    call outside one, and keep every operand's bands alive so that no key's
+    id can be reused.
+    """
+    a._require_same_space(b)
     memos = _scope.get() or _Memos()
-    for x, y, _ in terms:
-        first._require_same_space(x)
-        first._require_same_space(y)
-        memos.keep += (x._bands, y._bands)
-    dim, zero = first.dim, R_ZERO
-    products, sums = memos.products, memos.sums  # sums: cur -/+ product, as the products repeat
+    memos.keep += (a._bands, b._bands)
+    memo, dim = memos.fused[sign], a.dim
+    entry = functools.partial(_bracket_entry, memos, sign) if sign else functools.partial(_product, memos.products)
+    padded, pad = memos.padded, (R_ZERO,) * dim
+    for band in (*a._bands.values(), *b._bands.values()):
+        if id(band) not in padded:
+            entries = pad + band + pad
+            padded[id(band)] = (entries, tuple(map(id, entries)))
     acc: Dict[int, List[RadicalSum]] = {}
-    for x, y, negate in terms:
-        for k, x_band in x._bands.items():
-            for l, y_band in y._bands.items():
-                m = k + l
-                lo, hi = max(0, -k, -m), min(dim, dim - k, dim - m)
-                out = acc.setdefault(m, [zero] * dim)
-                for i, x_i, y_i in zip(range(lo, hi), x_band[lo:hi], y_band[lo + k : hi + k]):
-                    if x_i is zero or y_i is zero:
-                        continue
-                    a, b = id(x_i), id(y_i)
-                    key = (a, b) if a < b else (b, a)
-                    prod = products.get(key) or products.setdefault(key, x_i * y_i)
-                    cur = out[i]
-                    if cur is zero and not negate:
-                        out[i] = prod
-                    else:
-                        key = (id(cur), id(prod), negate)
-                        out[i] = sums.get(key) or sums.setdefault(key, cur - prod if negate else cur + prod)
-    return OperatorMatrix(first.basis, _kept(acc))
+    for k, a_band in a._bands.items():
+        a_padded, a_ids = padded[id(a_band)]
+        for l, b_band in b._bands.items():
+            b_padded, b_ids = padded[id(b_band)]
+            m = k + l
+            lo, hi = max(0, -m), min(dim, dim - m)
+            if lo >= hi:
+                continue
+            # entries i, i+k and i+l, for i in lo..hi-1, of padded bands, whose entry i is at dim + i
+            at_i, at_ik = slice(dim + lo, dim + hi), slice(dim + lo + k, dim + hi + k)
+            at_il = slice(dim + lo + l, dim + hi + l)
+            columns, ids = [a_padded[at_i], b_padded[at_ik]], [a_ids[at_i], b_ids[at_ik]]
+            if sign:
+                columns += (b_padded[at_i], a_padded[at_il])
+                ids += (b_ids[at_i], a_ids[at_il])
+                if sign < 0 and _cancels(*columns):
+                    continue
+            values = _memoized(entry, memo, columns, ids)
+            out = acc.get(m)
+            if out is None:
+                acc[m] = [R_ZERO] * lo + values + [R_ZERO] * (dim - hi)
+            else:
+                out[lo:hi] = map(functools.partial(_sum, memos.sums), out[lo:hi], values)
+    return OperatorMatrix(a.basis, _kept(acc))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB - BA."""
-    return _products(((a, b, False), (b, a, True)))
+    return _fused(a, b, -1)
 
 
 def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """AB + BA."""
-    return _products(((a, b, False), (b, a, False)))
+    return _fused(a, b, 1)
 
 
 def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatrix:
     """Kronecker product of two Fock-basis operators with two-mode labels.
 
     The first factor carries the major index, so the result is row-major in
-    (n1, n2) and bands k1 of a and k2 of b fill band k1*d2 + k2.
-    ``_basis`` is an earlier product's basis on the same factor bases, passed
-    so that products share one basis object.
+    (n1, n2) and bands k1 of a and k2 of b fill band k1*d2 + k2: each entry
+    of a's band fills one row of it, a copy of b's band where the entry is
+    R_ONE.  ``_basis`` is an earlier product's basis on the same factor
+    bases, passed so that products share one basis object.
     """
     if not all(isinstance(label, FockLabel) for label in a.basis + b.basis):
         raise DimensionMismatchError("tensor factors must both carry Fock bases")
@@ -389,12 +493,14 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
         for k2, b_band in b._bands.items():
             # (k1, k2) and (k1 + 1, k2 - d2) share a band but fill disjoint cells
             out = acc.setdefault(k1 * d2 + k2, [R_ZERO] * (d1 * d2))
+            lo, hi = max(0, -k2), min(d2, d2 - k2)
+            row = b_band[lo:hi]
             for i1 in range(max(0, -k1), min(d1, d1 - k1)):
                 va = a_band[i1]
-                if va is not R_ZERO:
-                    for i2 in range(max(0, -k2), min(d2, d2 - k2)):
-                        if b_band[i2] is not R_ZERO:
-                            out[i1 * d2 + i2] = va * b_band[i2]
+                if va is R_ONE:
+                    out[i1 * d2 + lo : i1 * d2 + hi] = row
+                elif va is not R_ZERO:
+                    out[i1 * d2 + lo : i1 * d2 + hi] = [va * w for w in row]
     # distinct Fock labels give distinct two-mode labels
     return OperatorMatrix(_basis, _kept(acc))
 

@@ -14,8 +14,8 @@ from wigneralg.operators import (
     RelationSpec,
     SpinLabel,
     TwoModeLabel,
+    _fused,
     _memo_scope,
-    _products,
     anticommutator,
     check_relation,
     check_specs,
@@ -26,7 +26,7 @@ from wigneralg.operators import (
     tensor,
 )
 from wigneralg.reports import CheckMode, Verdict
-from wigneralg.scalars import R_MINUS_ONE, R_ONE, GaussianRational, NuPolynomial, RadicalSum, deformed_number
+from wigneralg.scalars import R_MINUS_ONE, R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
 from wigneralg.spin import build_hp_rep, build_js_spin_rep, build_so_nu3, js_composites
 from wigneralg.two_mode import build_two_mode
@@ -91,8 +91,11 @@ def test_dimension_mismatch_raises():
     b = build_single_mode(4).a
     with pytest.raises(DimensionMismatchError):
         commutator(a, b)
-    with pytest.raises(DimensionMismatchError):  # each term fits, the terms do not
-        _products(((a, a, False), (b, b, True)))
+    for sign in (0, 1, -1):  # each of the kernel's forms checks its operands' space
+        with pytest.raises(DimensionMismatchError):
+            _fused(a, b, sign)
+    with pytest.raises(DimensionMismatchError):
+        a @ b
     with pytest.raises(DimensionMismatchError):
         check_relation("x", a, b)
 
@@ -129,18 +132,53 @@ def test_brackets_match_product_then_merge():
         assert js_composites(s)["P"] == (n1 @ r2) - (n2 @ r1)
 
 
+def _product_then_merge(x, y):
+    """The cells of x @ y from the row views: each cell's products, then their sum."""
+    cells = {}
+    y_rows = y.row_nonzeros()
+    for i, row in enumerate(x.row_nonzeros()):
+        for t, x_value in row:
+            for j, y_value in y_rows[t]:
+                cells.setdefault((i, j), []).append(x_value * y_value)
+    return {cell: sum(products, R_ZERO) for cell, products in cells.items()}
+
+
+def _reference_forms(a, b):
+    """[a, b], {a, b} and a @ b built from two products and a merge, with no kernel call."""
+    ab, ba = _product_then_merge(a, b), _product_then_merge(b, a)
+    cells = ab.keys() | ba.keys()
+    return [
+        OperatorMatrix.from_entries(a.basis, {c: ab.get(c, R_ZERO) - ba.get(c, R_ZERO) for c in cells}),
+        OperatorMatrix.from_entries(a.basis, {c: ab.get(c, R_ZERO) + ba.get(c, R_ZERO) for c in cells}),
+        OperatorMatrix.from_entries(a.basis, ab),
+    ]
+
+
 def test_scoped_memo_survives_freed_temporaries():
     """Inside one spec-list scope the memos key by entry ids: a dropped temporary must not lend its ids."""
     s = build_single_mode(6)
+    so3 = build_so_nu3(5)  # Lx and Ly have two bands each, so their brackets sum two band pairs
     factors = range(2, 12)
-    expected = [commutator(s.a.scale(f), s.a_dag) for f in factors]
+    pairs = [
+        (s.a.scale(f), s.a_dag, so3.l_x.scale(f), so3.l_y, so3.l_x, so3.l_y.scale(f)) for f in factors
+    ]
+    expected = []
+    for a, a_dag, l_x, l_y, l_x2, l_y2 in pairs:
+        brackets, anti, _ = _reference_forms(a, a_dag)
+        so_brackets, _, _ = _reference_forms(l_x, l_y)
+        _, so_anti, _ = _reference_forms(l_x2, l_y2)
+        expected += [brackets, anti, so_brackets, so_anti]
+    del pairs
 
     @_memo_scope
     def brackets():
         results = []
         for f in factors:
-            # scale builds fresh entry objects; the temporary dies after its bracket
+            # scale builds fresh entry objects; each temporary dies after its bracket
             results.append(commutator(s.a.scale(f), s.a_dag))
+            results.append(anticommutator(s.a.scale(f), s.a_dag))
+            results.append(commutator(so3.l_x.scale(f), so3.l_y))
+            results.append(anticommutator(so3.l_x, so3.l_y.scale(f)))
             gc.collect()
         return results
 
@@ -162,6 +200,85 @@ def test_scope_is_removed_when_a_spec_function_raises():
         failing()
     assert operators._scope.get() is None
     assert commutator(s.a, s.a_dag) == (s.a @ s.a_dag) - (s.a_dag @ s.a)
+
+
+# the fused kernel's entries repeat these objects, so its four-id keys recur across bands and calls
+SHARED_POOL = (
+    R_ZERO,
+    R_ONE,
+    R_MINUS_ONE,
+    RadicalSum.sqrt_poly(2),
+    RadicalSum.sqrt_poly(poly(1, 2)),
+    -RadicalSum.sqrt_poly(poly(1, 2)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_kernel_matches_reference_at_padded_edges(data):
+    """Bands at any offset, from the edge bands -(dim-1) and dim-1 inward, read the kernel's zero padding."""
+    dim = data.draw(st.integers(1, 5), label="dim")
+    basis = fock_basis(dim)
+
+    def draw_matrix(label):
+        offsets = data.draw(
+            st.lists(st.integers(-(dim - 1), dim - 1), min_size=1, max_size=3, unique=True), label=label
+        )
+        entries = {}
+        for k in offsets:
+            for i in range(max(0, -k), min(dim, dim - k)):
+                entries[(i, i + k)] = data.draw(st.sampled_from(SHARED_POOL))
+        return OperatorMatrix.from_entries(basis, entries)
+
+    a, b = draw_matrix("a"), draw_matrix("b")
+    expected = _reference_forms(a, b)
+
+    def forms():
+        return [commutator(a, b), anticommutator(a, b), a @ b]
+
+    assert forms() == expected
+    assert _memo_scope(forms)() == expected
+    for nu in (0.0, 0.7):
+        ea, eb = eval_matrix(a, nu), eval_matrix(b, nu)
+        for matrix, dense in zip(expected, (ea @ eb - eb @ ea, ea @ eb + eb @ ea, ea @ eb)):
+            np.testing.assert_allclose(eval_matrix(matrix, nu), dense, atol=1e-12)
+
+
+def test_zeros_that_are_not_the_zero_object_are_never_stored():
+    """An empty value other than R_ZERO (a merge builds one) must not keep a band alive."""
+    basis = fock_basis(3)
+    zero = OperatorMatrix.zeros(basis)
+    two_roots = RadicalSum.sqrt_poly(2) + RadicalSum.sqrt_poly(poly(1, 2))
+    # the merge of two_roots and its negation cancels to a fresh empty value
+    assert (two_roots + -two_roots).terms == () and (two_roots + -two_roots) is not R_ZERO
+    diag = OperatorMatrix.diagonal([two_roots] * 3, basis)
+    assert diag + diag.scale(-1) == zero
+    assert OperatorMatrix.diagonal([RadicalSum(), RadicalSum(), RadicalSum()], basis) == zero
+    assert OperatorMatrix.identity(basis).scale(RadicalSum()) == zero
+    # two band pairs land on band 0 and their sums cancel the same way
+    shift = OperatorMatrix.from_entries(basis, {(0, 1): two_roots, (1, 0): two_roots})
+    flip = OperatorMatrix.from_entries(basis, {(0, 1): R_ONE, (1, 0): R_MINUS_ONE})
+    assert (shift @ flip).entry(0, 0) == -two_roots and (shift @ flip).entry(1, 1) == two_roots
+    assert anticommutator(shift, flip) == zero
+
+
+def test_str_is_the_dense_grid_right_aligned():
+    one_plus_2nu = poly(1, 2)
+    m = OperatorMatrix.from_entries(
+        fock_basis(3),
+        {
+            (0, 0): R_ONE,
+            (1, 1): RadicalSum.coerce(-2),
+            (2, 2): RadicalSum.from_polynomial(one_plus_2nu),
+            (0, 1): RadicalSum.sqrt_poly(one_plus_2nu),
+            (1, 2): RadicalSum.sqrt_poly(2),
+        },
+    )
+    assert str(m) == (
+        "             1  sqrt(1 + 2*nu)               0\n"
+        "             0              -2         sqrt(2)\n"
+        "             0               0      (1 + 2*nu)"
+    )
 
 
 # ---------------------------------------------------------------- adjoints

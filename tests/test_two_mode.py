@@ -130,12 +130,8 @@ def test_cross_mode_relations_are_exact_zero():
         assert reports[rid].mode.value == "exact"
 
 
-def test_audit_computes_each_scalar_product_once_per_relation_set():
-    # the product kernel memoizes x*y by its unordered pair of entry objects
-    # for the whole spec list of one relation set, tensor(x, I) repeats each
-    # entry object down its band, adag shares a's entries and the two modes
-    # share their sqrt([n]) and n; a kernel without memos makes 5,296 products
-    # here, and one with a memo per bracket 1,646 (708 term products)
+def _scalar_products(work):
+    """(RadicalSum products, term products) that ``work()`` makes, and its result."""
     calls = term_products = 0
     multiply, term_product = RadicalSum.__mul__, scalars._term_product
 
@@ -152,10 +148,35 @@ def test_audit_computes_each_scalar_product_once_per_relation_set():
     with mock.patch.object(RadicalSum, "__mul__", counting), mock.patch.object(
         scalars, "_term_product", counting_terms
     ):
-        reports = audit_two_mode(build_two_mode(10, 10))
+        result = work()
+    return calls, term_products, result
+
+
+def test_audit_computes_each_scalar_product_once_per_relation_set():
+    # the product kernel memoizes x*y by its unordered pair of entry objects
+    # for the whole spec list of one relation set, tensor(x, I) repeats each
+    # entry object down its band, adag shares a's entries and the two modes
+    # share their sqrt([n]) and n; a kernel without memos makes 5,296 products
+    # here, and one with a memo per bracket 1,646 (708 term products)
+    calls, term_products, reports = _scalar_products(lambda: audit_two_mode(build_two_mode(10, 10)))
     assert all(r.verdict is Verdict.PASS for r in reports)
     assert 0 < calls <= 885
     assert 0 < term_products <= 117
+
+
+def test_sweep_pass_scalar_products_stay_within_the_unfused_kernels_counts():
+    # one pass of the benchmark's two-mode sweep, d1, d2 in 2..10; the counts
+    # repeat exactly from pass to pass.  The bounds are the counts of the
+    # kernel that summed two products per bracket entry (26,565 and 4,293);
+    # the fused kernel, which skips commuting band pairs, makes 11,347 and 1,333
+    pairs = [(d1, d2) for d1 in range(2, 11) for d2 in range(2, 11)]
+    calls, term_products, reports = _scalar_products(
+        lambda: [r for d1, d2 in pairs for r in audit_two_mode(build_two_mode(d1, d2))]
+    )
+    assert len(reports) == 24 * len(pairs)
+    assert all(r.verdict is Verdict.PASS for r in reports)
+    assert 0 < calls <= 26_565
+    assert 0 < term_products <= 4_293
 
 
 def test_mode_swap_symmetry():

@@ -12,9 +12,8 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 from .errors import OddTwoJNotClosedError
@@ -42,11 +41,10 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class _Options(NamedTuple):
     command: str
     two_j: Optional[int] = None
-    nu_values: List[float] = field(default_factory=list)
+    nu_values: Sequence[float] = ()
     dims: Optional[Tuple[int, int]] = None
     dim: Optional[int] = None
     max_n: Optional[int] = None
@@ -55,7 +53,14 @@ class RunConfig:
     output_path: Optional[str] = None
     strict: bool = False
 
-    def __post_init__(self) -> None:
+
+class RunConfig(_Options):
+    """One command's options; construction raises UsageError for values out of range."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         for nu in self.nu_values:
             if not -0.5 < nu <= MAX_GRID_NU:  # also false for nan and +-inf
                 raise UsageError(f"--nu must be finite, > -1/2 and <= {MAX_GRID_NU:g}, got {nu}")
@@ -85,6 +90,7 @@ class RunConfig:
                 raise UsageError(
                     f"{flag} asks for a {size}-dim matrix; the largest allowed is {MAX_MATRIX_DIM}"
                 )
+        return self
 
 
 def _exit_code(reports: Sequence[AlgebraReport], strict: bool) -> int:

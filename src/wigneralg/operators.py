@@ -23,10 +23,9 @@ from __future__ import annotations
 import functools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
-from operator import is_not
+from operator import is_, is_not
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionMismatchError
@@ -47,40 +46,108 @@ MAX_GRID_NU = 1e6
 #   Basis labels
 ########################################################################
 
+# Labels are immutable value types: slotted, with a __setattr__ that raises,
+# equal only to a label of the same type with equal fields, and hashed as the
+# tuple of their fields (so no label equals a tuple, and hashes never depend
+# on the hash seed).
 
-@dataclass(frozen=True)
+
 class FockLabel:
-    n: int
+    """Fock level n >= 0."""
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        if n < 0:
             raise ValueError("Fock labels need n >= 0")
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("FockLabel is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FockLabel:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
+
+    def __reduce__(self):
+        return FockLabel, (self.n,)
+
+    def __repr__(self) -> str:
+        return f"FockLabel(n={self.n!r})"
 
     def __str__(self) -> str:
         return f"fock({self.n})"
 
 
-@dataclass(frozen=True)
 class TwoModeLabel:
-    n1: int
-    n2: int
+    """Two-mode level (n1, n2), both >= 0."""
 
-    def __post_init__(self) -> None:
-        if self.n1 < 0 or self.n2 < 0:
+    __slots__ = ("n1", "n2")
+
+    def __init__(self, n1: int, n2: int) -> None:
+        if n1 < 0 or n2 < 0:
             raise ValueError("two-mode labels need n1, n2 >= 0")
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("TwoModeLabel is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TwoModeLabel:
+            return NotImplemented
+        return self.n1 == other.n1 and self.n2 == other.n2
+
+    def __hash__(self) -> int:
+        return hash((self.n1, self.n2))
+
+    def __reduce__(self):
+        return TwoModeLabel, (self.n1, self.n2)
+
+    def __repr__(self) -> str:
+        return f"TwoModeLabel(n1={self.n1!r}, n2={self.n2!r})"
 
     def __str__(self) -> str:
         return f"two({self.n1},{self.n2})"
 
 
-@dataclass(frozen=True)
 class SpinLabel:
-    two_j: int
-    two_m: int
+    """Spin state (2j, 2m) with |2m| <= 2j and 2m = 2j (mod 2)."""
 
-    def __post_init__(self) -> None:
-        if abs(self.two_m) > self.two_j or (self.two_j - self.two_m) % 2 != 0:
+    __slots__ = ("two_j", "two_m")
+
+    def __init__(self, two_j: int, two_m: int) -> None:
+        if abs(two_m) > two_j or (two_j - two_m) % 2 != 0:
             raise ValueError("spin labels need |2m| <= 2j with 2m = 2j (mod 2)")
+        object.__setattr__(self, "two_j", two_j)
+        object.__setattr__(self, "two_m", two_m)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("SpinLabel is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SpinLabel:
+            return NotImplemented
+        return self.two_j == other.two_j and self.two_m == other.two_m
+
+    def __hash__(self) -> int:
+        return hash((self.two_j, self.two_m))
+
+    def __reduce__(self):
+        return SpinLabel, (self.two_j, self.two_m)
+
+    def __repr__(self) -> str:
+        return f"SpinLabel(two_j={self.two_j!r}, two_m={self.two_m!r})"
 
     @property
     def j(self) -> Fraction:
@@ -479,9 +546,10 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
 
     The first factor carries the major index, so the result is row-major in
     (n1, n2) and bands k1 of a and k2 of b fill band k1*d2 + k2: each entry
-    of a's band fills one row of it, a copy of b's band where the entry is
-    R_ONE.  ``_basis`` is an earlier product's basis on the same factor
-    bases, passed so that products share one basis object.
+    of a's band fills one row of it: a copy of b's band where the entry is
+    R_ONE, the entry itself repeated where b's band is all R_ONE.  ``_basis``
+    is an earlier product's basis on the same factor bases, passed so that
+    products share one basis object.
     """
     if not all(isinstance(label, FockLabel) for label in a.basis + b.basis):
         raise DimensionMismatchError("tensor factors must both carry Fock bases")
@@ -495,12 +563,13 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix, *, _basis=None) -> OperatorMatr
             out = acc.setdefault(k1 * d2 + k2, [R_ZERO] * (d1 * d2))
             lo, hi = max(0, -k2), min(d2, d2 - k2)
             row = b_band[lo:hi]
+            ones = all(map(is_, row, repeat(R_ONE)))  # va * R_ONE is va itself
             for i1 in range(max(0, -k1), min(d1, d1 - k1)):
                 va = a_band[i1]
                 if va is R_ONE:
                     out[i1 * d2 + lo : i1 * d2 + hi] = row
                 elif va is not R_ZERO:
-                    out[i1 * d2 + lo : i1 * d2 + hi] = [va * w for w in row]
+                    out[i1 * d2 + lo : i1 * d2 + hi] = [va] * len(row) if ones else [va * w for w in row]
     # distinct Fock labels give distinct two-mode labels
     return OperatorMatrix(_basis, _kept(acc))
 
@@ -581,8 +650,7 @@ def check_relation(
     )
 
 
-@dataclass(frozen=True)
-class Caveat:
+class Caveat(NamedTuple):
     """A known qualification of a relation, keyed by its exact relation id.
 
     When ``printed_rhs`` is set the relation's printed form (same lhs and
@@ -611,7 +679,9 @@ def check_specs(
                     if witness is not None
                     else "printed coefficient unexpectedly passed"
                 )
-            report = replace(report, verdict=Verdict.PASS_WITH_CAVEAT, caveat=text, witness=witness)
+            report = AlgebraReport(
+                report.relation_id, report.mode, report.max_residual, Verdict.PASS_WITH_CAVEAT, text, witness
+            )
         reports.append(report)
     return reports
 

@@ -20,8 +20,7 @@ that rely on it say so.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .reports import AlgebraReport, Witness, exact_report
 from .scalars import (
@@ -39,22 +38,41 @@ from .scalars import (
 Key = Tuple[int, int]  # (x degree, delta degree)
 
 
-@dataclass(frozen=True)
 class BiPolynomial:
     """Polynomial in x and delta with Gaussian-rational coefficients.
 
     Stored as ``rows``: row k is the coefficient of x^k, a NuPolynomial in
     delta.  Trailing zero rows are dropped, so the zero polynomial has no rows
     and equality and hashing compare the rows.  All arithmetic runs on them.
+    An immutable value type: ``rows`` is set once, in the constructor.
     """
 
-    rows: Tuple[NuPolynomial, ...] = ()
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = list(self.rows)
+    def __init__(self, rows: Iterable[NuPolynomial] = ()) -> None:
+        rows = list(rows)
         while rows and not rows[-1].re:
             rows.pop()
         object.__setattr__(self, "rows", tuple(rows))
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("BiPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not BiPolynomial:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __reduce__(self):
+        return BiPolynomial, (self.rows,)
+
+    def __repr__(self) -> str:
+        return f"BiPolynomial(rows={self.rows!r})"
 
     @property
     def terms(self) -> Tuple[Tuple[Key, GaussianRational], ...]:
@@ -204,8 +222,7 @@ def monomial_number(p: BiPolynomial) -> BiPolynomial:
 ########################################################################
 
 
-@dataclass(frozen=True)
-class QuasiPolyBasis:
+class QuasiPolyBasis(NamedTuple):
     max_n: int
     polys: Tuple[BiPolynomial, ...]
 

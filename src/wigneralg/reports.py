@@ -1,10 +1,14 @@
-"""Structured outcomes of relation checks."""
+"""Structured outcomes of relation checks.
+
+A `Witness` is a plain record (a ``NamedTuple``).  An `AlgebraReport` is an
+immutable value type: a slotted class whose constructor checks the report
+and whose ``__setattr__`` raises, so a report is equal only to a report.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class Verdict(str, Enum):
@@ -18,8 +22,7 @@ class CheckMode(str, Enum):
     NUMERIC = "numeric"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Location and values of the first disagreeing entry.
 
     For scalar (non-matrix) checks row/col hold the integer arguments of the
@@ -32,24 +35,60 @@ class Witness:
     actual: str
 
 
-@dataclass(frozen=True)
 class AlgebraReport:
-    relation_id: str
-    mode: CheckMode
-    max_residual: float
-    verdict: Verdict
-    caveat: Optional[str] = None
-    witness: Optional[Witness] = None
+    """Outcome of one relation check.
 
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.FAIL and self.witness is None:
-            raise ValueError(f"{self.relation_id}: a failing report needs a witness")
-        if (
-            self.verdict is not Verdict.FAIL
-            and self.mode is CheckMode.EXACT
-            and self.max_residual != 0.0
-        ):
-            raise ValueError(f"{self.relation_id}: exact passes must carry residual 0")
+    Construction raises ValueError for a FAIL without a witness and for an
+    exact PASS or PASS_WITH_CAVEAT whose residual is not 0.
+    """
+
+    __slots__ = ("relation_id", "mode", "max_residual", "verdict", "caveat", "witness")
+
+    def __init__(
+        self,
+        relation_id: str,
+        mode: CheckMode,
+        max_residual: float,
+        verdict: Verdict,
+        caveat: Optional[str] = None,
+        witness: Optional[Witness] = None,
+    ) -> None:
+        if verdict is Verdict.FAIL and witness is None:
+            raise ValueError(f"{relation_id}: a failing report needs a witness")
+        if verdict is not Verdict.FAIL and mode is CheckMode.EXACT and max_residual != 0.0:
+            raise ValueError(f"{relation_id}: exact passes must carry residual 0")
+        object.__setattr__(self, "relation_id", relation_id)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "caveat", caveat)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("AlgebraReport is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.relation_id, self.mode, self.max_residual, self.verdict, self.caveat, self.witness)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AlgebraReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return AlgebraReport, self._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"AlgebraReport(relation_id={self.relation_id!r}, mode={self.mode!r}, "
+            f"max_residual={self.max_residual!r}, verdict={self.verdict!r}, "
+            f"caveat={self.caveat!r}, witness={self.witness!r})"
+        )
 
     @property
     def passed(self) -> bool:

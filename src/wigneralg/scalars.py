@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
@@ -56,10 +55,33 @@ def parity(n: int) -> ParityClass:
 ########################################################################
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    """re + im*i with rational parts; an immutable value type, equal only to Gaussian rationals."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -587,7 +609,6 @@ def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPo
     return c1 * c2 * _poly(g, (), 1) * mult, rad
 
 
-@dataclass(frozen=True)
 class RadicalSum:
     """Finite sum of terms c(nu)*sqrt(p(nu)) with canonical radicands.
 
@@ -597,10 +618,37 @@ class RadicalSum:
     rejects a radicand with a repeated polynomial factor or a negative
     leading coefficient, and products pull a shared factor out of the root.
     Square roots of distinct squarefree radicands are linearly independent,
-    so equal values have one form and equality is canonical-form equality.
+    so equal values have one form and equality is canonical-form equality:
+    ``==`` is true for the same object, else compares ``terms``, and a
+    radical sum equals no value of another type.  Immutable: ``terms`` is
+    set once, in the constructor, which takes it as given.
     """
 
-    terms: Tuple[Term, ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Term, ...] = ()) -> None:
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("RadicalSum is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not RadicalSum:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __reduce__(self):
+        return RadicalSum, (self.terms,)
+
+    def __repr__(self) -> str:
+        return f"RadicalSum(terms={self.terms!r})"
 
     @staticmethod
     def _from_raw(raw: Iterable[Term]) -> "RadicalSum":

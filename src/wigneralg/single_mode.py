@@ -7,8 +7,7 @@ defect there is exactly -[D].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, NamedTuple, Optional, Set
 
 from .errors import InvalidDimensionError
 from .operators import (
@@ -25,8 +24,7 @@ from .reports import AlgebraReport, Verdict, Witness, exact_report
 from .scalars import P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
 
 
-@dataclass(frozen=True)
-class SingleModeSet:
+class SingleModeSet(NamedTuple):
     dim: int
     a: OperatorMatrix
     a_dag: OperatorMatrix

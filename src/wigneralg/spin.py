@@ -19,9 +19,8 @@ the failing printed form with its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionTooSmallError, InvalidSpinError, NonInvariantSubspaceError, OddTwoJNotClosedError
 from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, anticommutator, check_relation
@@ -31,8 +30,7 @@ from .scalars import HALF, P_I, P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial
 from .scalars import numeric_eval
 
 
-@dataclass(frozen=True)
-class SuNu2Rep:
+class SuNu2Rep(NamedTuple):
     two_j: int
     j_plus: OperatorMatrix
     j_minus: OperatorMatrix
@@ -51,8 +49,7 @@ class SuNu2Rep:
 JS_OPERATORS = {"J+": "j_plus", "J-": "j_minus", "J0": "j0", "P": "p_op", "K": "k_op", "Q": "q_op", "R_J": "r_j"}
 
 
-@dataclass(frozen=True)
-class HPRep:
+class HPRep(NamedTuple):
     two_j: int
     j_plus: OperatorMatrix
     j_minus: OperatorMatrix
@@ -64,8 +61,7 @@ class HPRep:
         return self.j0.basis
 
 
-@dataclass(frozen=True)
-class SoNu3Rep:
+class SoNu3Rep(NamedTuple):
     two_j: int
     l_x: OperatorMatrix
     l_y: OperatorMatrix
@@ -608,8 +604,7 @@ def reference_matrix_reports(reps: Optional[Dict[int, SuNu2Rep]] = None) -> List
     return reports
 
 
-@dataclass(frozen=True)
-class ErratumFinding:
+class ErratumFinding(NamedTuple):
     name: str
     printed: str
     computed: str

@@ -7,8 +7,7 @@ products satisfy as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Set, Tuple
+from typing import Callable, List, NamedTuple, Set, Tuple
 
 from .errors import InvalidDimensionError
 from .operators import (
@@ -26,8 +25,7 @@ from .scalars import P_NU, P_TWO_NU
 from .single_mode import SingleModeSet, build_single_mode
 
 
-@dataclass(frozen=True)
-class TwoModeSet:
+class TwoModeSet(NamedTuple):
     dims: Tuple[int, int]
     a: Tuple[OperatorMatrix, OperatorMatrix]
     a_dag: Tuple[OperatorMatrix, OperatorMatrix]

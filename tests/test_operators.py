@@ -25,7 +25,7 @@ from wigneralg.operators import (
     numeric_relation_report,
     tensor,
 )
-from wigneralg.reports import CheckMode, Verdict
+from wigneralg.reports import AlgebraReport, CheckMode, Verdict
 from wigneralg.scalars import R_MINUS_ONE, R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
 from wigneralg.spin import build_hp_rep, build_js_spin_rep, build_so_nu3, js_composites
@@ -39,8 +39,9 @@ def poly(*coeffs):
 def test_basis_label_validation():
     with pytest.raises(ValueError):
         FockLabel(-1)
-    with pytest.raises(ValueError):
-        TwoModeLabel(0, -2)
+    for n1, n2 in ((0, -2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            TwoModeLabel(n1, n2)
     with pytest.raises(ValueError):
         SpinLabel(2, 3)  # |2m| > 2j
     with pytest.raises(ValueError):
@@ -626,6 +627,9 @@ def test_check_specs_caveats():
     assert reports[0].verdict is Verdict.PASS_WITH_CAVEAT
     assert reports[0].witness == expected_witness
     assert reports[0].caveat == f"printed form fails (first witness {expected_witness})"
+    assert reports[0] == AlgebraReport(
+        "N = N", CheckMode.EXACT, 0.0, Verdict.PASS_WITH_CAVEAT, reports[0].caveat, expected_witness
+    )
     # a failing report is never given a caveat
     assert reports[1].verdict is Verdict.FAIL
     assert reports[1].caveat is None
@@ -676,12 +680,12 @@ def test_eval_matrix_domain():
 
 
 def test_report_invariants_enforced():
-    from wigneralg.reports import AlgebraReport, CheckMode, Verdict
-
-    with pytest.raises(ValueError):
-        AlgebraReport("x", CheckMode.EXACT, 0.0, Verdict.FAIL)  # fail needs witness
-    with pytest.raises(ValueError):
-        AlgebraReport("x", CheckMode.EXACT, 1e-9, Verdict.PASS)  # exact pass needs 0
+    for mode in CheckMode:
+        with pytest.raises(ValueError, match="a failing report needs a witness"):
+            AlgebraReport("x", mode, float("nan"), Verdict.FAIL)
+    for verdict in (Verdict.PASS, Verdict.PASS_WITH_CAVEAT):
+        with pytest.raises(ValueError, match="exact passes must carry residual 0"):
+            AlgebraReport("x", CheckMode.EXACT, 1e-9, verdict, caveat="c")
     report = AlgebraReport("x", CheckMode.NUMERIC, 1e-13, Verdict.PASS)
     assert report.passed
     assert report.as_dict()["mode"] == "numeric"

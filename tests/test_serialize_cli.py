@@ -597,6 +597,21 @@ def test_cli_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_loads_the_package_without_dataclasses_or_inspect():
+    # every CLI job and benchmark worker pays this import; dataclasses (and the
+    # inspect, ast and dis it loads) would cost more than the package itself
+    code = (
+        "import sys, wigneralg.cli\n"
+        "loaded = set(sys.modules)\n"
+        "assert 'dataclasses' not in loaded and 'inspect' not in loaded\n"
+        "import pkgutil, wigneralg  # pkgutil loads inspect itself\n"
+        "names = {f'wigneralg.{m.name}' for m in pkgutil.iter_modules(wigneralg.__path__)} - {'wigneralg.__main__'}\n"
+        "assert len(names) > 1 and names <= loaded, sorted(names - loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_without_numpy_keeps_bytes_and_eval_matrix_names_the_extra():
     # numpy is the optional `dense` extra: with it unimportable the full audit
     # prints the same bytes, and eval_matrix says which extra to install

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -201,9 +200,9 @@ def test_block_extraction_detects_non_invariant_composites():
 
     ambient = build_two_mode(5, 5)
     # a1 @ a1 makes J- drop n1+n2 by one, leaking out of the fixed-2j block
-    broken = replace(ambient, a=(ambient.a[0] @ ambient.a[0], ambient.a[1]))
+    broken = ambient._replace(a=(ambient.a[0] @ ambient.a[0], ambient.a[1]))
     # N1 -> a1 makes J0 lower n1, leaking out too
-    lowering_j0 = replace(ambient, n_op=(ambient.a[0], ambient.n_op[1]))
+    lowering_j0 = ambient._replace(n_op=(ambient.a[0], ambient.n_op[1]))
     # the message names the first leaking cell in row-major order
     for family, two_j, message in (
         (broken, 2, "J- maps block column 10 to outside row 1"),
@@ -282,7 +281,7 @@ def test_hp_audit_passes():
 def test_hp_spectrum_report_fails_on_a_scaled_bracket():
     # J+ and J- scaled by 2 scale the bracket by 4: its spectrum no longer matches the JS block's
     rep = build_hp_rep(4)
-    doubled = replace(rep, j_plus=rep.j_plus.scale(2), j_minus=rep.j_minus.scale(2))
+    doubled = rep._replace(j_plus=rep.j_plus.scale(2), j_minus=rep.j_minus.scale(2))
     report = hp_spectrum_report(doubled, build_js_spin_rep(4))
     assert report.verdict is Verdict.FAIL
     assert report.max_residual == 60.0

@@ -1,0 +1,89 @@
+"""The value-type contract: labels, scalars and reports are immutable, equal
+only to values of their own type, hash as their field tuples and print as
+they always have; plain records are NamedTuples."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from wigneralg.cli import RunConfig
+from wigneralg.operators import FockLabel, SpinLabel, TwoModeLabel
+from wigneralg.realizations import BiPolynomial, build_quasi_basis
+from wigneralg.reports import AlgebraReport, CheckMode, Verdict, Witness
+from wigneralg.scalars import R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number
+from wigneralg.single_mode import build_single_mode
+
+WITNESS = Witness(1, 2, "a", "b")
+FAILED = AlgebraReport("x", CheckMode.EXACT, 0.5, Verdict.FAIL, "c", WITNESS)
+
+# value, its fields in order, its repr
+VALUES = [
+    (FockLabel(3), (3,), "FockLabel(n=3)"),
+    (TwoModeLabel(1, 2), (1, 2), "TwoModeLabel(n1=1, n2=2)"),
+    (SpinLabel(3, -1), (3, -1), "SpinLabel(two_j=3, two_m=-1)"),
+    (
+        GaussianRational(Fraction(1, 2), Fraction(-3)),
+        (Fraction(1, 2), Fraction(-3)),
+        "GaussianRational(re=Fraction(1, 2), im=Fraction(-3, 1))",
+    ),
+    (R_ZERO, ((),), "RadicalSum(terms=())"),
+    (
+        R_ONE,
+        (R_ONE.terms,),
+        "RadicalSum(terms=((NuPolynomial((GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)),)), "
+        "NuPolynomial((GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1)),))),))",
+    ),
+    (
+        BiPolynomial((NuPolynomial((2,)), NuPolynomial(()))),
+        ((NuPolynomial((2,)),),),
+        "BiPolynomial(rows=(NuPolynomial((GaussianRational(re=Fraction(2, 1), im=Fraction(0, 1)),)),))",
+    ),
+    (
+        FAILED,
+        ("x", CheckMode.EXACT, 0.5, Verdict.FAIL, "c", WITNESS),
+        "AlgebraReport(relation_id='x', mode=<CheckMode.EXACT: 'exact'>, max_residual=0.5, "
+        "verdict=<Verdict.FAIL: 'fail'>, caveat='c', witness=Witness(row=1, col=2, expected='a', actual='b'))",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=[text.split("(")[0] for _, _, text in VALUES])
+def test_value_types_print_hash_and_pickle_as_their_fields(value, fields, text):
+    assert repr(value) == text
+    # the hash of the field tuple, as before: set and dict order of labels and scalars is unchanged
+    assert hash(value) == hash(fields)
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert type(value)(*fields) == value
+    name = type(value).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == fields[0]
+
+
+def test_records_are_named_tuples_that_refuse_assignment():
+    assert repr(WITNESS) == "Witness(row=1, col=2, expected='a', actual='b')"
+    family = build_single_mode(3)
+    for record, field in ((WITNESS, "row"), (family, "a"), (build_quasi_basis(2), "max_n"), (RunConfig("verify"), "fmt")):
+        assert isinstance(record, tuple)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # records offer _replace in place of dataclasses.replace
+    assert family._replace(dim=4).dim == 4 and family.dim == 3
+
+
+def test_values_of_different_types_never_compare_equal():
+    assert TwoModeLabel(1, 1) != SpinLabel(1, 1)
+    assert FockLabel(1) != (1,)
+    assert FockLabel(1) != 1
+    assert R_ONE != 1
+    assert R_ZERO != ()
+    assert GaussianRational(Fraction(1)) != Fraction(1)
+    assert BiPolynomial((NuPolynomial((1,)),)) != RadicalSum.from_polynomial(NuPolynomial((1,)))
+    assert FAILED != ("x", CheckMode.EXACT, 0.5, Verdict.FAIL, "c", WITNESS)
+    # equal values of one type are equal, whether or not they are one object
+    assert RadicalSum.sqrt_poly(deformed_number(3)) == RadicalSum.sqrt_poly(deformed_number(3))
+    assert RadicalSum(R_ONE.terms) == R_ONE and RadicalSum(R_ONE.terms) is not R_ONE
+

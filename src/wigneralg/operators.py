@@ -11,11 +11,13 @@ objects they are made of (:func:`_memoized`).  ``@``, ``commutator`` and
 ``anticommutator`` run one fused kernel, :func:`_fused`: a bracket entry
 ``x*y -/+ u*v`` is one lookup under its four entry ids, and only a miss
 reaches the memos of single products and of sums.  These memos last for
-the relation-set spec function (one decorated with :func:`_memo_scope`)
-the kernel runs in, or for its own call outside one; ``+``, ``-``,
-``scale`` and ``adjoint`` keep theirs for one call.  No memo outlives the
-call that made it.  Only this module reads bands: sub-blocks, such as a
-truncated mode or a fixed-2j block, are cut by :func:`_block`.
+the outermost call decorated with :func:`_memo_scope` that the kernel runs
+in: one spec list, one relation set (so_nu(3)'s two spec functions) or the
+single-mode section (all its dims, cut from one ladder); or for the
+kernel's own call outside one.  ``+``, ``-``, ``scale`` and ``adjoint``
+keep theirs for one call.  No memo outlives the call that made it.  Only
+this module reads bands: sub-blocks, such as a truncated mode or a
+fixed-2j block, are cut by :func:`_block`.
 """
 
 from __future__ import annotations
@@ -258,8 +260,8 @@ class OperatorMatrix:
     ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands from
     canonical operands and pass them as ``_Bands``, stored unchecked.  They
     memoize the entries they compute by entry ids within one call, or, for
-    the fused kernel inside a relation-set spec function, within that spec
-    list (see :func:`_memo_scope`).  Nothing is cached on a matrix: ``rows``
+    the fused kernel inside a scoped call, within the outermost one (see
+    :func:`_memo_scope`).  Nothing is cached on a matrix: ``rows``
     and ``row_nonzeros()`` are derived on each call.
     """
 
@@ -385,7 +387,7 @@ class OperatorMatrix:
 
 
 class _Memos:
-    """The memos of ``_fused``, for one relation-set spec list or one call.
+    """The memos of ``_fused``, for one scope (see :func:`_memo_scope`) or one call.
 
     ``fused`` maps a sign (0 for ``@``, 1 for ``{A, B}``, -1 for ``[A, B]``)
     to a memo of whole entries, keyed by the ids of the entry objects that
@@ -413,7 +415,7 @@ class _Memos:
         self.keep: List[Dict[int, tuple]] = []
 
 
-# the memos of the relation-set spec function running in this thread, if any
+# the memos of the outermost scoped call running in this thread, if any
 _scope: ContextVar[Optional[_Memos]] = ContextVar("wigneralg_memo_scope", default=None)
 
 
@@ -421,12 +423,16 @@ def _memo_scope(spec_function):
     """Run ``spec_function`` with one set of ``_fused`` memos for all its products and brackets.
 
     The relations of one set bracket the same few operators, so their
-    entries repeat across specs.  The memos are dropped when the call
-    returns or raises.
+    entries repeat across specs.  A call inside another scoped call joins
+    that scope, so its memos serve both: one relation set's spec functions,
+    or every dim of the single-mode section, all cut from one ladder.  The
+    memos are dropped when the outermost scoped call returns or raises.
     """
 
     @functools.wraps(spec_function)
     def scoped(*args, **kwargs):
+        if _scope.get() is not None:
+            return spec_function(*args, **kwargs)
         token = _scope.set(_Memos())
         try:
             return spec_function(*args, **kwargs)
@@ -490,8 +496,8 @@ def _fused(a: OperatorMatrix, b: OperatorMatrix, sign: int) -> OperatorMatrix:
     objects; on a miss its products come from the product memo and their
     sum from the sum memo.  A commutator's band pair that cancels entry by
     entry (:func:`_cancels`) adds nothing and is skipped.  The memos last
-    for the relation-set spec list inside :func:`_memo_scope`, or for this
-    call outside one, and keep every operand's bands alive so that no key's
+    for the outermost scoped call (:func:`_memo_scope`), or for this call
+    outside one, and keep every operand's bands alive so that no key's
     id can be reused.
     """
     a._require_same_space(b)
@@ -718,25 +724,31 @@ def numeric_relation_report(
     """Frobenius-norm residual of lhs - rhs over a nu grid, masked rows only.
 
     The grid must be nonempty, each nu finite, > -1/2 and <= MAX_GRID_NU.
-    Each distinct stored entry is evaluated once on the whole grid, into a
-    memo that lives for this call; the residual at each nu sums
-    |lhs - rhs|^2 over the stored columns, row by row.
+    Each distinct stored entry is evaluated once on the whole grid, with
+    its |z|^2 at each nu, into a memo that lives for this call; the
+    residual at each nu sums |lhs - rhs|^2 over the stored columns, row by
+    row.
     """
     _require_grid(nus)
     if max(nus) > MAX_GRID_NU:
         raise ValueError(f"the numeric grid needs nu <= {MAX_GRID_NU:g}, got {max(nus)}")
     rows = _masked_rows(spec.lhs.dim, spec.mask)
-    memo: Dict[RadicalSum, Tuple[complex, ...]] = {}
+    memo: Dict[RadicalSum, Tuple[Tuple[complex, ...], Tuple[float, ...]]] = {}
 
     def on_grid(row):
-        for _, value in row:
-            if value not in memo:
-                memo[value] = tuple([numeric_eval(value, nu) for nu in nus])
-        return {j: memo[value] for j, value in row}
+        """Each stored entry of ``row`` by column: its values on the grid and their |z|^2."""
+        points = {}
+        for j, value in row:
+            point = memo.get(value)
+            if point is None:
+                zs = tuple([numeric_eval(value, nu) for nu in nus])
+                point = memo[value] = (zs, tuple([z.real * z.real + z.imag * z.imag for z in zs]))
+            points[j] = point
+        return points
 
     lhs_nz, rhs_nz = spec.lhs.row_nonzeros(), spec.rhs.row_nonzeros()
     grid = range(len(nus))
-    zeros = (0j,) * len(nus)
+    zero = ((0j,) * len(nus), ())
     diff_sq = [0.0] * len(nus)
     lhs_sq = [0.0] * len(nus)
     for i in rows:
@@ -748,10 +760,10 @@ def numeric_relation_report(
             columns = left.keys() | right.keys()
             for k in grid:
                 for j in columns:
-                    d = left.get(j, zeros)[k] - right.get(j, zeros)[k]
+                    d = left.get(j, zero)[0][k] - right.get(j, zero)[0][k]
                     diff_sq[k] += d.real * d.real + d.imag * d.imag
-        for k, column in enumerate(zip(*left.values())):
-            lhs_sq[k] += sum([z.real * z.real + z.imag * z.imag for z in column])
+        for k, column in enumerate(zip(*[sq for _, sq in left.values()])):
+            lhs_sq[k] += sum(column)
     worst = 0.0
     ok = True
     for k in grid:

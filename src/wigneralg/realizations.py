@@ -286,11 +286,16 @@ def apply_basis_linear(raw_op, f: BiPolynomial, basis: QuasiPolyBasis) -> BiPoly
     through unchanged, which is what makes the commutator close on
     (1 + 2 delta R).
     """
+    return _linear_extension(lambda n: raw_op(basis.phi(n)), phi_coefficients(f, basis))
+
+
+def _linear_extension(image, coeffs: List[NuPolynomial]) -> BiPolynomial:
+    """sum of image(n) * c_n over the nonzero phi-coefficients c_n; image(n) is an operator's image of phi_n."""
     out = BP_ZERO
-    for n, c in enumerate(phi_coefficients(f, basis)):
+    for n, c in enumerate(coeffs):
         if c.is_zero:
             continue
-        out = out + raw_op(basis.phi(n)) * BiPolynomial.from_delta_poly(c)
+        out = out + image(n) * BiPolynomial.from_delta_poly(c)
     return out
 
 
@@ -318,7 +323,10 @@ def audit_realizations(max_n: int, basis: Optional[QuasiPolyBasis] = None) -> Li
     phi = basis.polys
     lowered = [quasi_lowering(phi[n]) for n in ns]
     raised = [quasi_raising(phi[n]) for n in ns]
-    lowered_raised = [apply_basis_linear(quasi_raising, lowered[n], basis) for n in ns]
+    # the linear extensions of a and adag read the images above, and a phi_(max_n+1)
+    lowered_coeffs = [phi_coefficients(f, basis) for f in lowered]
+    lowered_raised = [_linear_extension(raised.__getitem__, coeffs) for coeffs in lowered_coeffs]
+    lowered_images = lowered + [quasi_lowering(phi[max_n + 1])]
     delta_reflected = [BP_DELTA * grading_reflection(phi[n], basis) for n in ns]
     iterated = [BP_ONE]
     for _ in ns[1:]:
@@ -369,7 +377,8 @@ def audit_realizations(max_n: int, basis: Optional[QuasiPolyBasis] = None) -> Li
             [
                 (
                     n,
-                    apply_basis_linear(quasi_lowering, raised[n], basis) - lowered_raised[n],
+                    _linear_extension(lowered_images.__getitem__, phi_coefficients(raised[n], basis))
+                    - lowered_raised[n],
                     phi[n] + delta_reflected[n].scale(2),
                 )
                 for n in ns
@@ -385,18 +394,16 @@ def audit_realizations(max_n: int, basis: Optional[QuasiPolyBasis] = None) -> Li
             caveat="reflection operator reconstructed from the grading R phi_n = (-1)^n phi_n",
         ),
     ]
-    reports.append(realization_matrix_consistency(max_n, basis, lowered))
+    reports.append(realization_matrix_consistency(max_n, lowered_coeffs))
     return reports
 
 
-def realization_matrix_consistency(
-    max_n: int, basis: QuasiPolyBasis, lowered: List[BiPolynomial]
-) -> AlgebraReport:
+def realization_matrix_consistency(max_n: int, lowered_coeffs: List[List[NuPolynomial]]) -> AlgebraReport:
     """Both realizations reproduce the abstract ladder matrix elements.
 
     The basis-function coefficients [n] equal the square of the abstract
     entries sqrt([n]) once the radical is squared, for every n <= max_n;
-    ``lowered[n]`` is the image a phi_n.
+    ``lowered_coeffs[n]`` holds the phi-coefficients of the image a phi_n.
     """
     relation_id = f"realizations match abstract ladder entries after squaring (n<={max_n})"
     for n in range(1, max_n + 1):
@@ -405,7 +412,7 @@ def realization_matrix_consistency(
         )
         expected = RadicalSum.from_polynomial(deformed_number(n))
         monomial_coeff = monomial_lowering(monomial_basis(n)).x_coefficient(n - 1)
-        coeffs = phi_coefficients(lowered[n], basis)
+        coeffs = lowered_coeffs[n]
         # an image of x-degree below n - 1 has no phi_(n-1) coefficient: read it as zero
         quasi_coeff = coeffs[n - 1] if n <= len(coeffs) else NuPolynomial.zero()
         if abstract_sq != expected or monomial_coeff != deformed_number(n) or quasi_coeff != deformed_number(n):

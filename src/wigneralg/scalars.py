@@ -240,7 +240,8 @@ class NuPolynomial:
     Arithmetic runs on plain ints.  ``coeffs`` is a tuple of
     ``GaussianRational`` built on each access, for printing and export.
     Hashes are cached: polynomials key the radicand-merge dictionaries in
-    every RadicalSum operation.
+    every RadicalSum operation.  An immutable value type: assignment and
+    deletion raise, so a cached hash never goes stale.
     """
 
     __slots__ = ("re", "im", "den", "_hash")
@@ -255,7 +256,16 @@ class NuPolynomial:
             re = [c.re.numerator * (den // c.re.denominator) for c in values]
             im = [c.im.numerator * (den // c.im.denominator) for c in values]
             p = _stripped(re, im if any(im) else [], den)
-        self.re, self.im, self.den, self._hash = p.re, p.im, p.den, None
+        for name, value in zip(NuPolynomial.__slots__, (p.re, p.im, p.den, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):  # immutable value type
+        raise AttributeError("NuPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _poly, (self.re, self.im, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NuPolynomial):
@@ -266,7 +276,7 @@ class NuPolynomial:
         h = self._hash
         if h is None:
             h = hash((self.re, self.im, self.den))
-            self._hash = h
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -439,10 +449,24 @@ def _scaled_sum(a: Tuple[int, ...], fa: int, b: Tuple[int, ...], fb: int) -> lis
     return out
 
 
+_set_hash = NuPolynomial._hash.__set__
+
+
+class _Unsealed:
+    """NuPolynomial's slots without its immutability: :func:`_poly` fills one, then makes it a NuPolynomial."""
+
+    __slots__ = NuPolynomial.__slots__
+
+
 def _poly(re: Tuple[int, ...], im: Tuple[int, ...], den: int) -> NuPolynomial:
-    """A NuPolynomial from numerators already in canonical form."""
-    p = object.__new__(NuPolynomial)
+    """A NuPolynomial from numerators already in canonical form.
+
+    Plain stores into an unsealed twin and one class switch cost less than
+    a write through ``object.__setattr__`` per slot (this is the hot path).
+    """
+    p = object.__new__(_Unsealed)
     p.re, p.im, p.den, p._hash = re, im, den, None
+    p.__class__ = NuPolynomial
     return p
 
 
@@ -888,12 +912,8 @@ def _cross_identity_piecewise(m: int, n: int) -> NuPolynomial:
     return _stripped([m - n, -2 * (m - n)], [], 1)
 
 
-def _cross_failure(m: int, n: int, dm: NuPolynomial, dm1: NuPolynomial, dn: NuPolynomial, dn1: NuPolynomial):
-    """:func:`check_cross_identity` (m, n) if it fails, else None.
-
-    dm, dm1, dn, dn1 are [m], [m+1], [n], [n+1].
-    """
-    direct = dm * dn1 - dn * dm1
+def _cross_failure(m: int, n: int, direct: NuPolynomial):
+    """:func:`check_cross_identity` (m, n) if it fails, else None; ``direct`` is [m][n+1] - [n][m+1] expanded."""
     forms = (("closed form", _cross_identity_closed_form), ("piecewise form", _cross_identity_piecewise))
     for name, form in forms:
         candidate = form(m, n)
@@ -914,5 +934,6 @@ def check_cross_identity(m: int, n: int) -> AlgebraReport:
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    failure = _cross_failure(m, n, *(deformed_number(k) for k in (m, m + 1, n, n + 1)))
+    dm, dm1, dn, dn1 = (deformed_number(k) for k in (m, m + 1, n, n + 1))
+    failure = _cross_failure(m, n, dm * dn1 - dn * dm1)
     return failure or exact_report(_CROSS_ID.format(m=m, n=n))

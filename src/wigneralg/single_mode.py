@@ -13,6 +13,7 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
+    _block,
     _memo_scope,
     anticommutator,
     check_relation,
@@ -44,6 +45,23 @@ def build_single_mode(dim: int) -> SingleModeSet:
     n_op = OperatorMatrix.diagonal([NuPolynomial.constant(n) for n in range(dim)], basis)
     r_op = OperatorMatrix.diagonal([(R_ONE, R_MINUS_ONE)[n % 2] for n in range(dim)], basis)
     return SingleModeSet(dim=dim, a=a, a_dag=a.adjoint(), n_op=n_op, r_op=r_op)
+
+
+def cut_single_mode(ladder: SingleModeSet, dim: int) -> SingleModeSet:
+    """The single-mode set at ``dim`` as the leading block of ``ladder``, holding its entry objects.
+
+    The cut ignores where an operator leaves the block: adag raises its top
+    level out of it by design.  Sets cut from one ladder hold the same
+    ``sqrt([n])`` and ``n`` objects, so the product kernel, which memoizes by
+    entry ids, computes a product they share once.
+    """
+    if dim == ladder.dim:
+        return ladder
+    if not 2 <= dim < ladder.dim:
+        raise InvalidDimensionError(f"cannot cut dim {dim} from a single-mode set of dim {ladder.dim}")
+    basis = ladder.a.basis[:dim]
+    ops = (ladder.a, ladder.a_dag, ladder.n_op, ladder.r_op)
+    return SingleModeSet(dim, *(_block(op, range(dim), basis)[0] for op in ops))
 
 
 def number_mask(dim: int) -> Set[int]:

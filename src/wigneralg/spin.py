@@ -364,9 +364,13 @@ def audit_hp(rep: HPRep) -> List[AlgebraReport]:
     return _audit("hp", rep)
 
 
-def hp_spectrum_report(rep: HPRep, js: SuNu2Rep) -> AlgebraReport:
-    """Spectral match of the HP bracket [J+,J-] with the JS block's, on the numeric grid."""
-    hp_bracket = commutator(rep.j_plus, rep.j_minus)
+def hp_spectrum_report(hp_specs: List[RelationSpec], js: SuNu2Rep) -> AlgebraReport:
+    """Spectral match of the HP bracket [J+,J-] with the JS block's, on the numeric grid.
+
+    ``hp_specs`` is :func:`hp_relation_specs` of the HP rep; the bracket is
+    the lhs of its third spec, "HP: [J+,J-] = 2J0(1 + 2nu R)".
+    """
+    hp_bracket = hp_specs[2].lhs
     js_bracket = commutator(js.j_plus, js.j_minus)
     worst = 0.0
     ok = True

@@ -11,10 +11,16 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OddTwoJNotClosedError
-from .operators import RelationSpec, check_relation, check_specs, numeric_relation_report
+from .operators import RelationSpec, _memo_scope, check_relation, check_specs, numeric_relation_report
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import _cross_failure, _pair_failure, deformed_number
-from .single_mode import build_single_mode, single_mode_relation_specs, truncation_defect_report
+from .single_mode import (
+    SingleModeSet,
+    build_single_mode,
+    cut_single_mode,
+    single_mode_relation_specs,
+    truncation_defect_report,
+)
 from .two_mode import _from_one_ladder, two_mode_relation_specs
 from .realizations import audit_realizations
 from .spin import (
@@ -41,7 +47,7 @@ from .spin import (
 
 # Family kind -> builder(run, *sizes); a builder takes the parts it shares from the run.
 KINDS: Dict[str, Callable] = {
-    "single-mode": lambda run, dim: build_single_mode(dim),
+    "single-mode": lambda run, dim: cut_single_mode(run.ladder(dim), dim),
     "two-mode": lambda run, d1, d2: _from_one_ladder(lambda dim: run.family("single-mode", dim), d1, d2),
     "js": lambda run, two_j: build_js_spin_rep(two_j),
     "so3": lambda run, two_j: so_nu3_from(run.family("js", two_j)),
@@ -54,13 +60,13 @@ SHARED_KINDS = {"single-mode", "two-mode", "js"}
 class RelationSet(NamedTuple):
     """Relations on one family kind: their specs, caveats by relation id and further checks.
 
-    ``extra(run, family)`` gives the checks beyond the specs; the grid samples specs only.
+    ``extra(run, family, specs)`` gives the checks beyond the specs; the grid samples specs only.
     """
 
     kind: str
     specs: Callable
     caveats: Callable = lambda family: {}
-    extra: Callable = lambda run, family: []
+    extra: Callable = lambda run, family, specs: []
 
 
 RELATION_SETS: Dict[str, RelationSet] = {
@@ -68,13 +74,16 @@ RELATION_SETS: Dict[str, RelationSet] = {
     "two-mode": RelationSet("two-mode", lambda s: two_mode_relation_specs(s)),
     "su_nu2": RelationSet("js", lambda r: su_nu2_relation_specs(r)),
     "condensed": RelationSet("js", lambda r: condensed_relation_specs(r), lambda r: condensed_caveats(r)),
+    # both spec functions bracket [Lx,Ly]: one scope computes it once
     "so_nu3": RelationSet(
-        "so3", lambda r: so_nu3_relation_specs(r) + so_nu3_condensed_specs(r), lambda r: so_nu3_caveats(r)
+        "so3",
+        _memo_scope(lambda r: so_nu3_relation_specs(r) + so_nu3_condensed_specs(r)),
+        lambda r: so_nu3_caveats(r),
     ),
     "hp": RelationSet(
         "hp",
         lambda r: hp_relation_specs(r),
-        extra=lambda run, r: [hp_spectrum_report(r, run.family("js", r.two_j))],
+        extra=lambda run, r, specs: [hp_spectrum_report(specs, run.family("js", r.two_j))],
     ),
 }
 
@@ -83,14 +92,22 @@ class Run:
     """Builds families through :data:`KINDS` and checks relation sets on them.
 
     Shared kinds are built once and kept; any other family, and every spec
-    list, lives as long as its caller holds it. ``grid`` plans (relation set,
-    sizes) pairs: the first exact check of one samples its specs on the grid.
-    A run keeps those reports; each report evaluates its own entries.
+    list, lives as long as its caller holds it. Every single-mode family is
+    cut from the run's one ladder (:meth:`ladder`). ``grid`` plans (relation
+    set, sizes) pairs: the first exact check of one samples its specs on the
+    grid. A run keeps those reports; each report evaluates its own entries.
     """
 
     def __init__(self, grid: Sequence[Tuple[str, tuple]] = ()) -> None:
         self._shared: Dict[tuple, object] = {}
+        self._ladder: Optional[SingleModeSet] = None
         self._grid: Dict[Tuple[str, tuple], Optional[List[AlgebraReport]]] = dict.fromkeys(grid)
+
+    def ladder(self, dim: int) -> SingleModeSet:
+        """The run's single-mode set the single-mode families are cut from; built at ``dim`` if it stops below."""
+        if self._ladder is None or self._ladder.dim < dim:
+            self._ladder = build_single_mode(dim)
+        return self._ladder
 
     def family(self, kind: str, *sizes: int):
         family = self._shared.get((kind, *sizes))
@@ -112,7 +129,7 @@ class Run:
         """Exact checks of relation set ``name`` on ``family``, given its ``specs`` if made."""
         row = RELATION_SETS[name]
         specs = row.specs(family) if specs is None else specs
-        return check_specs(specs, row.caveats(family)) + row.extra(self, family)
+        return check_specs(specs, row.caveats(family)) + row.extra(self, family, specs)
 
     def check(self, name: str, *sizes: int) -> List[AlgebraReport]:
         return self.audit(name, *self.specs(name, *sizes))
@@ -155,8 +172,10 @@ def number_suite(max_n: int = 50) -> List[AlgebraReport]:
     # residuals depends on it; the passing ones share one report
     holds = exact_report("numbers: instance holds")
     pair = [_pair_failure(n, *numbers[n : n + 3]) or holds for n in range(max_n + 1)]
+    # products[m][n] = [m][n+1]; instance (m, n) expands products[m][n] - products[n][m]
+    products = [[numbers[m] * numbers[n + 1] for n in range(max_n + 1)] for m in range(max_n + 1)]
     cross = [
-        _cross_failure(m, n, numbers[m], numbers[m + 1], numbers[n], numbers[n + 1]) or holds
+        _cross_failure(m, n, products[m][n] - products[n][m]) or holds
         for m in range(max_n + 1)
         for n in range(max_n + 1)
     ]
@@ -169,8 +188,15 @@ def number_suite(max_n: int = 50) -> List[AlgebraReport]:
     ]
 
 
+@_memo_scope
 def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, run: Optional[Run] = None) -> List[AlgebraReport]:
+    """The single-mode relations and truncation defect at each dim, cut from one ladder at ``max_dim``.
+
+    Every dim's spec list runs in this call's memo scope, so a product the
+    dims share is computed once.
+    """
     run = run or Run()
+    run.ladder(max_dim)
     per_dim = []
     defects = []
     for dim in range(min_dim, max_dim + 1):

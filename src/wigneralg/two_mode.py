@@ -13,7 +13,6 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
-    _block,
     _memo_scope,
     anticommutator,
     check_specs,
@@ -22,7 +21,7 @@ from .operators import (
 )
 from .reports import AlgebraReport
 from .scalars import P_NU, P_TWO_NU
-from .single_mode import SingleModeSet, build_single_mode
+from .single_mode import SingleModeSet, build_single_mode, cut_single_mode
 
 
 class TwoModeSet(NamedTuple):
@@ -45,23 +44,13 @@ def build_two_mode(d1: int, d2: int) -> TwoModeSet:
 def _from_one_ladder(single_mode: Callable[[int], SingleModeSet], d1: int, d2: int) -> TwoModeSet:
     """The two-mode set at (d1, d2) from ``single_mode(max(d1, d2))``; the smaller mode is its leading block.
 
-    The cut ignores where an operator leaves the block: adag raises its top
-    level out of it by design.  Both modes then hold that set's ``sqrt([n])``
-    and ``n`` objects, and the product kernel, which memoizes by entry ids,
-    computes a cross-mode product once.
+    Both modes then hold that set's ``sqrt([n])`` and ``n`` objects, and the
+    product kernel computes a cross-mode product once (:func:`cut_single_mode`).
     """
     if d1 < 2 or d2 < 2:
         raise InvalidDimensionError("two-mode truncation needs d1, d2 >= 2")
     ladder = single_mode(max(d1, d2))
-
-    def cut(d: int) -> SingleModeSet:
-        if d == ladder.dim:
-            return ladder
-        basis = ladder.a.basis[:d]
-        ops = (ladder.a, ladder.a_dag, ladder.n_op, ladder.r_op)
-        return SingleModeSet(d, *(_block(op, range(d), basis)[0] for op in ops))
-
-    return two_mode_from(cut(d1), cut(d2))
+    return two_mode_from(cut_single_mode(ladder, d1), cut_single_mode(ladder, d2))
 
 
 def two_mode_from(m1: SingleModeSet, m2: SingleModeSet) -> TwoModeSet:

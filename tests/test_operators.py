@@ -1,5 +1,6 @@
 import gc
 import math
+from operator import is_
 
 import numpy as np
 import pytest
@@ -201,6 +202,28 @@ def test_scope_is_removed_when_a_spec_function_raises():
         failing()
     assert operators._scope.get() is None
     assert commutator(s.a, s.a_dag) == (s.a @ s.a_dag) - (s.a_dag @ s.a)
+
+
+def test_a_scoped_call_inside_another_joins_its_scope():
+    s = build_single_mode(4)
+    scopes = []
+
+    @_memo_scope
+    def inner():
+        scopes.append(operators._scope.get())
+        return commutator(s.a, s.a_dag)
+
+    @_memo_scope
+    def outer():
+        scopes.append(operators._scope.get())
+        first = inner()
+        # the second bracket reads the first one's memo: every entry is the same object
+        second = inner()
+        return all(map(is_, first._bands[0], second._bands[0]))
+
+    assert outer()
+    assert scopes[0] is not None and scopes.count(scopes[0]) == 3
+    assert operators._scope.get() is None
 
 
 # the fused kernel's entries repeat these objects, so its four-id keys recur across bands and calls

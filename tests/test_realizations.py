@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wigneralg import realizations
 from wigneralg.realizations import (
+    BP_DELTA,
     BP_ZERO,
     BiPolynomial,
     apply_basis_linear,
@@ -167,9 +170,100 @@ def test_matrix_consistency_fails_at_a_wrong_image(change):
     basis = build_quasi_basis(6)
     lowered = [quasi_lowering(basis.polys[n]) for n in range(6)]
     lowered[3] = change(lowered[3])
-    report = realization_matrix_consistency(5, basis, lowered)
+    report = realization_matrix_consistency(5, [phi_coefficients(f, basis) for f in lowered])
     assert report.verdict is Verdict.FAIL
     assert report.witness.row == 3
+
+
+def reference_audit(max_n):
+    """audit_realizations with every linear extension taken by apply_basis_linear, each image computed anew."""
+    basis = build_quasi_basis(max_n + 1)
+    raising, lowering = realizations.quasi_raising, realizations.quasi_lowering
+    ns = range(max_n + 1)
+    phi = basis.polys
+    lowered = [lowering(phi[n]) for n in ns]
+    raised = [raising(phi[n]) for n in ns]
+    lowered_raised = [apply_basis_linear(raising, lowered[n], basis) for n in ns]
+    reflected = [BP_DELTA * grading_reflection(phi[n], basis) for n in ns]
+    iterated = [BiPolynomial.one()]
+    for _ in ns[1:]:
+        iterated.append(raising(iterated[-1]))
+    caveat = "reflection operator reconstructed from the grading R phi_n = (-1)^n phi_n"
+    family = realizations._poly_family_report
+    numbers = [BiPolynomial.from_delta_poly(deformed_number(n)) for n in ns]
+    return [
+        family(
+            f"monomial: a f_n = [n] f_(n-1) (n<={max_n}, delta=nu)",
+            [
+                (n, monomial_lowering(monomial_basis(n)), numbers[n] * monomial_basis(n - 1) if n else BP_ZERO)
+                for n in ns
+            ],
+        ),
+        family(
+            f"monomial: adag f_n = f_(n+1) (n<={max_n})",
+            [(n, monomial_raising(monomial_basis(n)), monomial_basis(n + 1)) for n in ns],
+        ),
+        family(
+            f"monomial: N f_n = n f_n (n<={max_n})",
+            [(n, monomial_number(monomial_basis(n)), monomial_basis(n).scale(n)) for n in ns],
+        ),
+        family(
+            f"quasi: a phi_n = [n] phi_(n-1) (n<={max_n}, delta=nu)",
+            [(n, lowered[n], numbers[n] * phi[n - 1] if n else BP_ZERO) for n in ns],
+        ),
+        family(f"quasi: adag phi_n = phi_(n+1) (n<={max_n})", [(n, raised[n], phi[n + 1]) for n in ns]),
+        family(f"quasi: (adag)^n 1 = phi_n (n<={max_n})", [(n, iterated[n], phi[n]) for n in ns]),
+        family(
+            f"quasi: [a,adag] phi_n = (1 + 2 delta R) phi_n (n<={max_n})",
+            [
+                (
+                    n,
+                    apply_basis_linear(lowering, raised[n], basis) - lowered_raised[n],
+                    phi[n] + reflected[n].scale(2),
+                )
+                for n in ns
+            ],
+            caveat=caveat,
+        ),
+        family(
+            f"quasi: N phi_n = n phi_n with N = adag a - delta + delta R (n<={max_n})",
+            [(n, lowered_raised[n] - BP_DELTA * phi[n] + reflected[n], phi[n].scale(n)) for n in ns],
+            caveat=caveat,
+        ),
+        realization_matrix_consistency(max_n, [phi_coefficients(f, basis) for f in lowered]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "planted, k",
+    [(None, None), ("quasi_raising", 3), ("quasi_lowering", 5), ("quasi_lowering", 9)],
+    ids=["none", "raising-phi3", "lowering-phi5", "lowering-phi9"],
+)
+def test_audit_realizations_matches_direct_linear_extensions(monkeypatch, planted, k):
+    # the audit reuses its images of phi_n and its expansions of a phi_n; the
+    # reference recomputes them, also with a wrong image (doubled) planted at
+    # phi_k; phi_9 = phi_(max_n+1) is the one image a reaches outside the audit's own
+    if planted is not None:
+        op, phi_k = getattr(realizations, planted), build_quasi_basis(k).phi(k)
+        monkeypatch.setattr(realizations, planted, lambda f: op(f).scale(2) if f == phi_k else op(f))
+    got, want = audit_realizations(8), reference_audit(8)
+    # a failing exact report's residual is NaN, which equals nothing: compare its repr
+    assert [repr(r.as_dict()) for r in got] == [repr(r.as_dict()) for r in want]
+    assert all(r.passed for r in got) is (planted is None)
+
+
+def test_audit_realizations_reuses_its_images(monkeypatch):
+    # each image of phi_n and each expansion of a phi_n is made once: images
+    # computed anew in every linear extension made 46 raisings, 32 lowerings
+    # and 63 expansions at max_n = 15
+    counts = Counter()
+    for name in ("quasi_raising", "quasi_lowering", "phi_coefficients"):
+        fn = getattr(realizations, name)
+        monkeypatch.setattr(realizations, name, lambda *args, fn=fn, name=name: counts.update([name]) or fn(*args))
+    assert all(r.passed for r in audit_realizations(15))
+    assert 0 < counts["quasi_raising"] <= 31
+    assert 0 < counts["quasi_lowering"] <= 17
+    assert 0 < counts["phi_coefficients"] <= 48
 
 
 def test_audit_requires_min_n():

@@ -10,6 +10,7 @@ from wigneralg.scalars import NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import (
     audit_single_mode,
     build_single_mode,
+    cut_single_mode,
     single_mode_relation_specs,
     truncation_defect_report,
 )
@@ -52,6 +53,18 @@ def test_adag_shares_the_entry_objects_of_a():
     s = build_single_mode(6)
     for n in range(1, 6):
         assert s.a_dag.entry(n, n - 1) is s.a.entry(n - 1, n)
+
+
+def test_a_cut_equals_the_set_built_at_its_dim_and_holds_the_ladder_objects():
+    ladder = build_single_mode(8)
+    assert cut_single_mode(ladder, 8) is ladder
+    for dim in (2, 5, 7):
+        cut = cut_single_mode(ladder, dim)
+        assert cut == build_single_mode(dim)
+        assert all(cut.a.entry(n - 1, n) is ladder.a.entry(n - 1, n) for n in range(1, dim))
+    for dim in (1, 9):
+        with pytest.raises(InvalidDimensionError):
+            cut_single_mode(ladder, dim)
 
 
 def test_audit_passes_for_all_dims():

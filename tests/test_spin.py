@@ -29,6 +29,7 @@ from wigneralg.spin import (
     errata_findings,
     extract_js_block,
     hp_diagonal_factor,
+    hp_relation_specs,
     hp_spectrum_report,
     reference_matrix_registry,
     reference_matrix_reports,
@@ -282,7 +283,7 @@ def test_hp_spectrum_report_fails_on_a_scaled_bracket():
     # J+ and J- scaled by 2 scale the bracket by 4: its spectrum no longer matches the JS block's
     rep = build_hp_rep(4)
     doubled = rep._replace(j_plus=rep.j_plus.scale(2), j_minus=rep.j_minus.scale(2))
-    report = hp_spectrum_report(doubled, build_js_spin_rep(4))
+    report = hp_spectrum_report(hp_relation_specs(doubled), build_js_spin_rep(4))
     assert report.verdict is Verdict.FAIL
     assert report.max_residual == 60.0
     assert report.witness.actual == "max gap 60.0"

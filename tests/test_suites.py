@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wigneralg import operators, scalars, suites
+from wigneralg import operators, scalars, single_mode, spin, suites
 from wigneralg.operators import (
     MAX_GRID_NU,
     NU_GRID,
@@ -31,7 +31,12 @@ from wigneralg.scalars import (
     deformed_number,
     numeric_eval,
 )
-from wigneralg.single_mode import build_single_mode, single_mode_relation_specs
+from wigneralg.single_mode import (
+    audit_single_mode,
+    build_single_mode,
+    single_mode_relation_specs,
+    truncation_defect_report,
+)
 from wigneralg.spin import (
     build_hp_rep,
     build_js_spin_rep,
@@ -156,6 +161,106 @@ def test_number_suite_matches_public_checks(monkeypatch):
     assert number_suite(12)[1].verdict is Verdict.PASS
 
 
+def _counting(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_number_suite_builds_each_product_once(monkeypatch):
+    # the table [m][n+1] serves instance (m, n) and instance (n, m): 51 x 51
+    # products, where expanding each instance on its own made 5,202
+    counts = Counter()
+    monkeypatch.setattr(NuPolynomial, "__mul__", _counting(counts, "mul", NuPolynomial.__mul__))
+    assert all(r.passed for r in number_suite(50))
+    assert 0 < counts["mul"] <= 2_601
+
+
+def composed_single_mode_suite(min_dim, max_dim):
+    """single_mode_suite as the per-dim public audits of freshly built families."""
+    label = f"(dims {min_dim}..{max_dim})"
+    families = [build_single_mode(dim) for dim in range(min_dim, max_dim + 1)]
+    grouped = {}
+    for s in families:
+        for r in audit_single_mode(s):
+            grouped.setdefault(r.relation_id, []).append(r)
+    out = [aggregate(f"{rid} {label}", reports) for rid, reports in grouped.items()]
+    out.append(
+        aggregate(
+            f"[a,adag] unmasked fails only at the top row with defect -[dim] {label}",
+            [truncation_defect_report(s) for s in families],
+        )
+    )
+    return out
+
+
+@pytest.mark.parametrize("bad", [None, 2, 7, 12])
+def test_single_mode_suite_matches_fresh_families(monkeypatch, bad):
+    # every dim is cut from one ladder and checked in one memo scope; a wrong
+    # R^2 = I rhs planted at dim ``bad`` (its top diagonal entry 2) must fail
+    # there, with the same reports as the per-dim audits of fresh families
+    specs_of = single_mode_relation_specs
+
+    def planted(s):
+        specs = specs_of(s)
+        if s.dim == bad:
+            rid, lhs, rhs, mask = specs[5]
+            assert rid == "R^2 = I"
+            specs[5] = RelationSpec(rid, lhs, OperatorMatrix.diagonal([1] * (s.dim - 1) + [2], rhs.basis), mask)
+        return specs
+
+    monkeypatch.setattr(suites, "single_mode_relation_specs", planted)
+    monkeypatch.setattr(single_mode, "single_mode_relation_specs", planted)
+    suite = single_mode_suite(2, 12)
+    assert as_dicts(suite) == as_dicts(composed_single_mode_suite(2, 12))
+    failed = [r for r in suite if r.verdict is Verdict.FAIL]
+    if bad is None:
+        assert not failed
+    else:
+        assert [r.relation_id for r in failed] == ["R^2 = I (dims 2..12)"]
+        assert (failed[0].witness.row, failed[0].witness.col, failed[0].witness.expected) == (bad - 1, bad - 1, "2")
+
+
+def test_verify_all_cuts_the_single_mode_section_from_one_ladder(monkeypatch):
+    # dims 2..25, the two-mode family at 10 and the grid's 12 are cut from one
+    # ladder at 25, and the section checks its dims in one memo scope: each
+    # dim building its own ladder, in its own scope, made 24 ladders and
+    # 1,597 scalar products in the section
+    counts = Counter()
+    inside = []
+    multiply, section = RadicalSum.__mul__, suites.single_mode_suite
+
+    def counting(self, other):
+        counts["mul"] += bool(inside)
+        return multiply(self, other)
+
+    def counted_section(*args, **kwargs):
+        inside.append(True)
+        try:
+            return section(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(RadicalSum, "__mul__", counting)
+    monkeypatch.setattr(suites, "single_mode_suite", counted_section)
+    monkeypatch.setattr(suites, "build_single_mode", _counting(counts, "build", build_single_mode))
+    verdicts = Counter(r.verdict for reports in verify_all().values() for r in reports)
+    assert verdicts == {Verdict.PASS: 216, Verdict.PASS_WITH_CAVEAT: 6}
+    assert counts["build"] == 1
+    assert 0 < counts["mul"] <= 239
+
+
+def test_hp_spectrum_takes_the_hp_bracket_from_its_specs(monkeypatch):
+    # per even 2j: three brackets in the specs and the JS bracket of the
+    # spectral check, where rebuilding the HP bracket there made 20
+    counts = Counter()
+    monkeypatch.setattr(spin, "commutator", _counting(counts, "commutator", commutator))
+    assert all(r.passed for r in hp_suite())
+    assert 0 < counts["commutator"] <= 16
+
+
 def test_suites_all_green_small():
     assert all(r.passed for r in number_suite(12))
     assert all(r.passed for r in single_mode_suite(2, 8))
@@ -203,17 +308,16 @@ def test_verify_all_builds_each_family_once(monkeypatch):
     )
     calls = Counter()
     seen_args = []  # keeps every counted family alive, so no id is reused
-    single_modes = []  # every single-mode family, as built
+    single_modes = []  # every single-mode family whose specs are made
     brackets = Counter()  # [a, adag] computations per single-mode family
 
     def counting(fn):
         def wrapper(*args, **kwargs):
             seen_args.append(args)
             calls[(fn.__name__, *(a if type(a) is int else id(a) for a in args))] += 1
-            result = fn(*args, **kwargs)
-            if fn is build_single_mode:
-                single_modes.append(result)
-            return result
+            if fn is single_mode_relation_specs:
+                single_modes.append(args[0])
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -236,7 +340,9 @@ def test_verify_all_builds_each_family_once(monkeypatch):
     assert not repeated
     per_function = Counter(key[0] for key in calls)
     assert per_function["build_js_spin_rep"] == 4  # 2j = 1..4
-    assert per_function["build_single_mode"] == 6  # dims 2..6 and the grid's 12
+    # one ladder at the section's top dim 6, which dims 2..6 and the two-mode
+    # family are cut from, and one at the grid's 12
+    assert per_function["build_single_mode"] == 2
     assert per_function["tensor"] == 8  # one two-mode family: four operators per mode
     # the truncation defect reads the bracket from the family's specs
     assert sorted(s.dim for s in single_modes) == [2, 3, 4, 5, 6, 12]

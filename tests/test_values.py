@@ -87,3 +87,20 @@ def test_values_of_different_types_never_compare_equal():
     assert RadicalSum.sqrt_poly(deformed_number(3)) == RadicalSum.sqrt_poly(deformed_number(3))
     assert RadicalSum(R_ONE.terms) == R_ONE and RadicalSum(R_ONE.terms) is not R_ONE
 
+
+def test_polynomials_refuse_assignment_and_keep_their_hash():
+    p = deformed_number(3)
+    cached = hash(p)
+    for name in NuPolynomial.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(p, name, (9,))
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.re, p.im, p.den) == ((3, 2), (), 1) and str(p) == "3 + 2*nu"
+    assert hash(p) == cached == hash(NuPolynomial((3, 2)))
+    # built by the arithmetic's fast path and by the constructor alike
+    for q in (p, p * p, NuPolynomial((Fraction(1, 2), GaussianRational(Fraction(0), Fraction(1))))):
+        assert type(q) is NuPolynomial
+        with pytest.raises(AttributeError):
+            q.re = ()
+        assert pickle.loads(pickle.dumps(q)) == q

@@ -31,7 +31,7 @@ from operator import is_, is_not
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionMismatchError
-from .reports import AlgebraReport, CheckMode, Verdict, Witness
+from .reports import AlgebraReport, CheckMode, Value, Verdict, Witness
 from .scalars import R_ONE, R_ZERO, RadicalSum, numeric_eval, radical_values_equal
 
 if TYPE_CHECKING:
@@ -48,13 +48,8 @@ MAX_GRID_NU = 1e6
 #   Basis labels
 ########################################################################
 
-# Labels are immutable value types: slotted, with a __setattr__ that raises,
-# equal only to a label of the same type with equal fields, and hashed as the
-# tuple of their fields (so no label equals a tuple, and hashes never depend
-# on the hash seed).
 
-
-class FockLabel:
+class FockLabel(Value):
     """Fock level n >= 0."""
 
     __slots__ = ("n",)
@@ -64,30 +59,11 @@ class FockLabel:
             raise ValueError("Fock labels need n >= 0")
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("FockLabel is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not FockLabel:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
-
-    def __reduce__(self):
-        return FockLabel, (self.n,)
-
-    def __repr__(self) -> str:
-        return f"FockLabel(n={self.n!r})"
-
     def __str__(self) -> str:
         return f"fock({self.n})"
 
 
-class TwoModeLabel:
+class TwoModeLabel(Value):
     """Two-mode level (n1, n2), both >= 0."""
 
     __slots__ = ("n1", "n2")
@@ -98,30 +74,11 @@ class TwoModeLabel:
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n2", n2)
 
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("TwoModeLabel is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not TwoModeLabel:
-            return NotImplemented
-        return self.n1 == other.n1 and self.n2 == other.n2
-
-    def __hash__(self) -> int:
-        return hash((self.n1, self.n2))
-
-    def __reduce__(self):
-        return TwoModeLabel, (self.n1, self.n2)
-
-    def __repr__(self) -> str:
-        return f"TwoModeLabel(n1={self.n1!r}, n2={self.n2!r})"
-
     def __str__(self) -> str:
         return f"two({self.n1},{self.n2})"
 
 
-class SpinLabel:
+class SpinLabel(Value):
     """Spin state (2j, 2m) with |2m| <= 2j and 2m = 2j (mod 2)."""
 
     __slots__ = ("two_j", "two_m")
@@ -131,25 +88,6 @@ class SpinLabel:
             raise ValueError("spin labels need |2m| <= 2j with 2m = 2j (mod 2)")
         object.__setattr__(self, "two_j", two_j)
         object.__setattr__(self, "two_m", two_m)
-
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("SpinLabel is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SpinLabel:
-            return NotImplemented
-        return self.two_j == other.two_j and self.two_m == other.two_m
-
-    def __hash__(self) -> int:
-        return hash((self.two_j, self.two_m))
-
-    def __reduce__(self):
-        return SpinLabel, (self.two_j, self.two_m)
-
-    def __repr__(self) -> str:
-        return f"SpinLabel(two_j={self.two_j!r}, two_m={self.two_m!r})"
 
     @property
     def j(self) -> Fraction:
@@ -184,6 +122,15 @@ class _Bands(dict):
     """Offset -> band, built canonical by an operation below: stored without checks."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        # a copied or unpickled zero is a new object, and the kernel finds zeros by identity
+        return _restored, (tuple(self.items()),)
+
+
+def _restored(items: Tuple[Tuple[int, tuple], ...]) -> _Bands:
+    """Copied bands with R_ZERO back in every zero cell."""
+    return _Bands((k, tuple(v if v.terms else R_ZERO for v in band)) for k, band in items)
 
 
 def _kept(acc: Dict[int, Sequence[RadicalSum]]) -> _Bands:
@@ -243,7 +190,7 @@ def _each(op, bands: Dict[int, tuple]) -> _Bands:
     return _kept({k: _memoized(op, memo, (band,)) for k, band in bands.items()})
 
 
-class OperatorMatrix:
+class OperatorMatrix(Value):
     """Square matrix on a labeled basis, stored as its nonzero diagonals.
 
     ``_bands`` maps an offset ``k`` to a band: a tuple of length ``dim``
@@ -266,6 +213,7 @@ class OperatorMatrix:
     """
 
     __slots__ = ("dim", "basis", "_bands")
+    _fields = ("basis", "_bands")
 
     def __init__(self, basis: Sequence[BasisLabel], rows: Sequence[Sequence[Tuple[int, RadicalSum]]]):
         if type(rows) is _Bands:
@@ -289,9 +237,6 @@ class OperatorMatrix:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_bands", bands)
-
-    def __setattr__(self, name, value):  # immutable value type
-        raise AttributeError("OperatorMatrix is immutable")
 
     @staticmethod
     def zeros(basis: Sequence[BasisLabel]) -> "OperatorMatrix":

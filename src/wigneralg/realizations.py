@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .reports import AlgebraReport, Witness, exact_report
+from .reports import AlgebraReport, Value, Witness, exact_report
 from .scalars import (
     P_NU,
     P_ONE,
@@ -38,7 +38,7 @@ from .scalars import (
 Key = Tuple[int, int]  # (x degree, delta degree)
 
 
-class BiPolynomial:
+class BiPolynomial(Value):
     """Polynomial in x and delta with Gaussian-rational coefficients.
 
     Stored as ``rows``: row k is the coefficient of x^k, a NuPolynomial in
@@ -54,25 +54,6 @@ class BiPolynomial:
         while rows and not rows[-1].re:
             rows.pop()
         object.__setattr__(self, "rows", tuple(rows))
-
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("BiPolynomial is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not BiPolynomial:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __reduce__(self):
-        return BiPolynomial, (self.rows,)
-
-    def __repr__(self) -> str:
-        return f"BiPolynomial(rows={self.rows!r})"
 
     @property
     def terms(self) -> Tuple[Tuple[Key, GaussianRational], ...]:

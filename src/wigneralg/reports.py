@@ -1,14 +1,58 @@
-"""Structured outcomes of relation checks.
+"""Structured outcomes of relation checks, and the base of every value type.
 
-A `Witness` is a plain record (a ``NamedTuple``).  An `AlgebraReport` is an
-immutable value type: a slotted class whose constructor checks the report
-and whose ``__setattr__`` raises, so a report is equal only to a report.
+A `Witness` is a plain record (a ``NamedTuple``); an `AlgebraReport` is a
+`Value`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple, Optional
+
+
+class Value:
+    """Base of the immutable value types: basis labels, scalars, matrices, reports.
+
+    A subclass lists its fields in ``__slots__`` (the public ones) or in an
+    explicit ``_fields``, and its constructor, which runs every check, stores
+    them with ``object.__setattr__``.  Then assignment and deletion raise
+    AttributeError; a value equals only a value of its own type with equal
+    fields, so no label equals a tuple; it hashes as the tuple of its fields,
+    so a label's hash, built from ints, never depends on the hash seed; it
+    pickles and copies through its constructor; and it prints as
+    ``Type(field=...)``.  A subclass that defines ``__eq__`` must restate
+    ``__hash__``, which Python drops.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__dict__.get("_fields") or tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        get = attrgetter(*fields)
+        cls._fields = fields
+        # attrgetter returns a bare value for one name: the field tuple wraps it
+        cls._astuple = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple(self) == self._astuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._astuple(self))
+        return f"{type(self).__name__}(" + ", ".join(f"{name}={value!r}" for name, value in pairs) + ")"
 
 
 class Verdict(str, Enum):
@@ -35,7 +79,7 @@ class Witness(NamedTuple):
     actual: str
 
 
-class AlgebraReport:
+class AlgebraReport(Value):
     """Outcome of one relation check.
 
     Construction raises ValueError for a FAIL without a witness and for an
@@ -63,32 +107,6 @@ class AlgebraReport:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "caveat", caveat)
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("AlgebraReport is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.relation_id, self.mode, self.max_residual, self.verdict, self.caveat, self.witness)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not AlgebraReport:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return AlgebraReport, self._key()
-
-    def __repr__(self) -> str:
-        return (
-            f"AlgebraReport(relation_id={self.relation_id!r}, mode={self.mode!r}, "
-            f"max_residual={self.max_residual!r}, verdict={self.verdict!r}, "
-            f"caveat={self.caveat!r}, witness={self.witness!r})"
-        )
 
     @property
     def passed(self) -> bool:

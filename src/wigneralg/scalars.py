@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NegativeRadicandError
-from .reports import AlgebraReport, Witness, exact_report
+from .reports import AlgebraReport, Value, Witness, exact_report
 
 # Exact rational coefficients are plain stdlib fractions: always reduced,
 # positive denominator, canonical 0/1 zero.
@@ -55,7 +55,7 @@ def parity(n: int) -> ParityClass:
 ########################################################################
 
 
-class GaussianRational:
+class GaussianRational(Value):
     """re + im*i with rational parts; an immutable value type, equal only to Gaussian rationals."""
 
     __slots__ = ("re", "im")
@@ -63,25 +63,6 @@ class GaussianRational:
     def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)) -> None:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("GaussianRational is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not GaussianRational:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __reduce__(self):
-        return GaussianRational, (self.re, self.im)
-
-    def __repr__(self) -> str:
-        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -633,7 +614,7 @@ def _term_product(c1: NuPolynomial, r1: NuPolynomial, c2: NuPolynomial, r2: NuPo
     return c1 * c2 * _poly(g, (), 1) * mult, rad
 
 
-class RadicalSum:
+class RadicalSum(Value):
     """Finite sum of terms c(nu)*sqrt(p(nu)) with canonical radicands.
 
     The empty term list is the unique zero.  Terms with radicand 1 carry the
@@ -653,11 +634,6 @@ class RadicalSum:
     def __init__(self, terms: Tuple[Term, ...] = ()) -> None:
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, name, value=None):  # immutable value type
-        raise AttributeError("RadicalSum is immutable")
-
-    __delattr__ = __setattr__
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -665,14 +641,7 @@ class RadicalSum:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
-    def __reduce__(self):
-        return RadicalSum, (self.terms,)
-
-    def __repr__(self) -> str:
-        return f"RadicalSum(terms={self.terms!r})"
+    __hash__ = Value.__hash__
 
     @staticmethod
     def _from_raw(raw: Iterable[Term]) -> "RadicalSum":

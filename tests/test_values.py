@@ -1,18 +1,21 @@
-"""The value-type contract: labels, scalars and reports are immutable, equal
-only to values of their own type, hash as their field tuples and print as
-they always have; plain records are NamedTuples."""
+"""The value-type contract: labels, scalars, matrices and reports are
+immutable, equal only to values of their own type, hash as their field tuples,
+pickle and copy through their constructors and print as they always have;
+plain records are NamedTuples."""
 
+import copy
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from wigneralg.cli import RunConfig
-from wigneralg.operators import FockLabel, SpinLabel, TwoModeLabel
+from wigneralg.operators import FockLabel, OperatorMatrix, SpinLabel, TwoModeLabel, _block, fock_basis
 from wigneralg.realizations import BiPolynomial, build_quasi_basis
-from wigneralg.reports import AlgebraReport, CheckMode, Verdict, Witness
+from wigneralg.reports import AlgebraReport, CheckMode, Value, Verdict, Witness
 from wigneralg.scalars import R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
+from wigneralg.two_mode import audit_two_mode, build_two_mode
 
 WITNESS = Witness(1, 2, "a", "b")
 FAILED = AlgebraReport("x", CheckMode.EXACT, 0.5, Verdict.FAIL, "c", WITNESS)
@@ -63,6 +66,14 @@ def test_value_types_print_hash_and_pickle_as_their_fields(value, fields, text):
     assert getattr(value, name) == fields[0]
 
 
+def test_value_types_take_the_contract_from_one_base():
+    for cls in {type(value) for value, _, _ in VALUES} | {OperatorMatrix}:
+        assert issubclass(cls, Value)
+        assert not {"__setattr__", "__delattr__", "__reduce__", "__repr__"} & vars(cls).keys()
+    # NuPolynomial stays apart: _poly's class switch needs a base chain identical to its unsealed twin's
+    assert not issubclass(NuPolynomial, Value)
+
+
 def test_records_are_named_tuples_that_refuse_assignment():
     assert repr(WITNESS) == "Witness(row=1, col=2, expected='a', actual='b')"
     family = build_single_mode(3)
@@ -104,3 +115,27 @@ def test_polynomials_refuse_assignment_and_keep_their_hash():
         with pytest.raises(AttributeError):
             q.re = ()
         assert pickle.loads(pickle.dumps(q)) == q
+
+
+def test_matrices_refuse_assignment_and_deletion():
+    m = build_two_mode(2, 3).a[0]
+    for name in OperatorMatrix.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m.dim == 6
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))], ids=["deepcopy", "pickle"]
+)
+def test_matrices_and_family_records_survive_copying(duplicate):
+    family = build_two_mode(2, 3)
+    twin = duplicate(family)
+    assert twin == family and twin.a[0] == family.a[0]
+    assert [r.as_dict() for r in audit_two_mode(twin)] == [r.as_dict() for r in audit_two_mode(family)]
+    # zero cells come back as R_ZERO, which the kernel tests by identity: span{1, 2} stays invariant
+    m = OperatorMatrix.from_entries(fock_basis(3), {(1, 2): R_ONE})
+    assert _block(duplicate(m), [1, 2], fock_basis(2)) == _block(m, [1, 2], fock_basis(2))
+    assert all(v is R_ZERO for band in duplicate(m)._bands.values() for v in band if not v.terms)

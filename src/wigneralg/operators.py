@@ -13,11 +13,13 @@ objects they are made of (:func:`_memoized`).  ``@``, ``commutator`` and
 reaches the memos of single products and of sums.  These memos last for
 the outermost call decorated with :func:`_memo_scope` that the kernel runs
 in: one spec list, one relation set (so_nu(3)'s two spec functions) or the
-single-mode section (all its dims, cut from one ladder); or for the
-kernel's own call outside one.  ``+``, ``-``, ``scale`` and ``adjoint``
-keep theirs for one call.  No memo outlives the call that made it.  Only
-this module reads bands: sub-blocks, such as a truncated mode or a
-fixed-2j block, are cut by :func:`_block`.
+single-mode section (all its dims, which hold the same ladder entries of
+:func:`~wigneralg.scalars.ladder_level`); or for the kernel's own call
+outside one.  ``+``, ``-``, ``scale`` and ``adjoint`` keep theirs for one
+call.  No id-keyed memo outlives the call that made it; the ladder-level
+table caches immutable values by int, not by id, and lives for the process.
+Only this module reads bands: sub-blocks, such as a fixed-2j block, are cut
+by :func:`_block`.
 """
 
 from __future__ import annotations
@@ -370,8 +372,9 @@ def _memo_scope(spec_function):
     The relations of one set bracket the same few operators, so their
     entries repeat across specs.  A call inside another scoped call joins
     that scope, so its memos serve both: one relation set's spec functions,
-    or every dim of the single-mode section, all cut from one ladder.  The
-    memos are dropped when the outermost scoped call returns or raises.
+    or every dim of the single-mode section, whose sets hold the same ladder
+    entries.  The memos are dropped when the outermost scoped call returns
+    or raises.
     """
 
     @functools.wraps(spec_function)

@@ -33,6 +33,7 @@ from .scalars import (
     ScalarLike,
     deformed_number,
     format_terms,
+    ladder_level,
 )
 
 Key = Tuple[int, int]  # (x degree, delta degree)
@@ -388,9 +389,8 @@ def realization_matrix_consistency(max_n: int, lowered_coeffs: List[List[NuPolyn
     """
     relation_id = f"realizations match abstract ladder entries after squaring (n<={max_n})"
     for n in range(1, max_n + 1):
-        abstract_sq = RadicalSum.sqrt_poly(deformed_number(n)) * RadicalSum.sqrt_poly(
-            deformed_number(n)
-        )
+        root = ladder_level(n).root
+        abstract_sq = root * root
         expected = RadicalSum.from_polynomial(deformed_number(n))
         monomial_coeff = monomial_lowering(monomial_basis(n)).x_coefficient(n - 1)
         coeffs = lowered_coeffs[n]

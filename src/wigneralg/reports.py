@@ -10,6 +10,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
+NAN = float("nan")  # the one NaN residual: a NaN equals only itself
+
 
 class Value:
     """Base of the immutable value types: basis labels, scalars, matrices, reports.
@@ -83,7 +85,9 @@ class AlgebraReport(Value):
     """Outcome of one relation check.
 
     Construction raises ValueError for a FAIL without a witness and for an
-    exact PASS or PASS_WITH_CAVEAT whose residual is not 0.
+    exact PASS or PASS_WITH_CAVEAT whose residual is not 0.  It stores a NaN
+    residual as :data:`NAN`, so equal failing reports are equal, also after
+    pickling.
     """
 
     __slots__ = ("relation_id", "mode", "max_residual", "verdict", "caveat", "witness")
@@ -103,7 +107,7 @@ class AlgebraReport(Value):
             raise ValueError(f"{relation_id}: exact passes must carry residual 0")
         object.__setattr__(self, "relation_id", relation_id)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "max_residual", NAN if max_residual != max_residual else max_residual)
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "caveat", caveat)
         object.__setattr__(self, "witness", witness)
@@ -137,7 +141,7 @@ def exact_report(
     """Report of an exact check: FAIL (residual nan) with a witness, else PASS or PASS_WITH_CAVEAT."""
     if witness is not None:
         return AlgebraReport(
-            relation_id, CheckMode.EXACT, float("nan"), Verdict.FAIL, caveat=caveat, witness=witness
+            relation_id, CheckMode.EXACT, NAN, Verdict.FAIL, caveat=caveat, witness=witness
         )
     verdict = Verdict.PASS if caveat is None else Verdict.PASS_WITH_CAVEAT
     return AlgebraReport(relation_id, CheckMode.EXACT, 0.0, verdict, caveat=caveat)

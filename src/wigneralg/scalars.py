@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Tuple, Union
+from typing import Callable, Dict, Iterable, NamedTuple, Tuple, Union
 
 from .errors import NegativeRadicandError
 from .reports import AlgebraReport, Value, Witness, exact_report
@@ -466,6 +466,30 @@ def deformed_number(n: int) -> NuPolynomial:
     if n % 2 == 0:
         return NuPolynomial.constant(n)
     return _poly((n, 2), (), 1)
+
+
+class LadderLevel(NamedTuple):
+    root: "RadicalSum"  # sqrt([n])
+    n: "RadicalSum"  # the level value n
+
+
+_LEVELS: Dict[int, LadderLevel] = {}
+
+
+def ladder_level(n: int) -> LadderLevel:
+    """sqrt([n]) and n as radical sums, one object each per n for the process.
+
+    Every family reads its ladder entries here, so families of every size hold
+    the same objects and the operator kernel, which memoizes by entry ids,
+    computes a product they share once.  The table caches immutable values by
+    the int ``n``, not by id, so the rule that no id-keyed memo outlives its
+    call does not apply to it; ``setdefault`` keeps the first level stored.
+    """
+    level = _LEVELS.get(n)
+    if level is None:
+        root = RadicalSum.sqrt_poly(deformed_number(n)) if n else R_ZERO
+        level = _LEVELS.setdefault(n, LadderLevel(root, RadicalSum.from_polynomial(NuPolynomial.constant(n))))
+    return level
 
 
 def deformed_factorial(n: int) -> NuPolynomial:

@@ -44,19 +44,22 @@ def label_to_string(label: BasisLabel) -> str:
 
 
 def label_from_string(text: str) -> BasisLabel:
-    kind, _, args = text.partition("(")
-    args = args.rstrip(")")
-    if kind == "fock":
-        return FockLabel(int(args))
-    if kind == "two":
-        n1, n2 = args.split(",")
-        return TwoModeLabel(int(n1), int(n2))
-    if kind == "spin":
-        two_j, two_m = (2 * Fraction(part) for part in args.split(","))
-        if two_j.denominator != 1 or two_m.denominator != 1:
-            raise ValueError(f"spin labels need integer 2j and 2m, got {text!r}")
-        return SpinLabel(int(two_j), int(two_m))
-    raise ValueError(f"unknown basis label {text!r}")
+    """The label ``label_to_string`` writes as ``text``; ValueError for any other text."""
+    kind, _, args = str(text).partition("(")
+    args = args.rstrip(")").split(",")
+    try:
+        if kind == "spin":
+            two_j, two_m = (2 * Fraction(part) for part in args)
+            if two_j.denominator != 1 or two_m.denominator != 1:
+                raise ValueError("spin labels need integer 2j and 2m")
+            label = SpinLabel(int(two_j), int(two_m))
+        else:
+            label = {"fock": FockLabel, "two": TwoModeLabel}[kind](*map(int, args))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"cannot read basis label {text!r}: {err}") from err
+    if label_to_string(label) != text:
+        raise ValueError(f"cannot read basis label {text!r}: label_to_string writes {label}")
+    return label
 
 
 def _fraction_pair(value: Fraction) -> List[int]:
@@ -65,12 +68,6 @@ def _fraction_pair(value: Fraction) -> List[int]:
 
 def _gaussian_to_dict(value: GaussianRational) -> Dict[str, List[int]]:
     return {"re": _fraction_pair(value.re), "im": _fraction_pair(value.im)}
-
-
-def _gaussian_from_dict(data) -> GaussianRational:
-    return GaussianRational(
-        Fraction(data["re"][0], data["re"][1]), Fraction(data["im"][0], data["im"][1])
-    )
 
 
 def _terms_list(value: RadicalSum) -> List[dict]:
@@ -97,9 +94,23 @@ def matrix_to_dict(matrix: OperatorMatrix) -> dict:
 
 
 def _field(data: dict, key: str, where: str):
-    if key not in data:
+    if not isinstance(data, dict) or key not in data:
         raise ValueError(f"{where} has no {key!r}")
     return data[key]
+
+
+def _list(data: dict, key: str, where: str) -> list:
+    value = _field(data, key, where)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where} needs a list {key!r}, got {value!r}")
+    return value
+
+
+def _fraction(pair, where: str) -> Fraction:
+    """``Fraction(*pair)`` of a [numerator, denominator] pair of integers."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(type(v) is int for v in pair) and pair[1]):
+        raise ValueError(f"{where} needs [numerator, denominator] integers with denominator not 0, got {pair!r}")
+    return Fraction(*pair)
 
 
 def _index(data: dict, key: str, where: str) -> int:
@@ -111,25 +122,25 @@ def _index(data: dict, key: str, where: str) -> int:
 
 def matrix_from_dict(data: dict) -> OperatorMatrix:
     """The matrix ``matrix_to_dict`` wrote; ``ValueError`` names the field or entry it cannot read."""
-    basis = [label_from_string(text) for text in _field(data, "basis", "matrix")]
+    basis = [label_from_string(text) for text in _list(data, "basis", "matrix")]
     dim = _index(data, "dim", "matrix")
     if dim != len(basis):
         raise ValueError(f"matrix dim {dim} does not match its {len(basis)} basis labels")
     entries = {}
-    for k, item in enumerate(_field(data, "entries", "matrix")):
+    for k, item in enumerate(_list(data, "entries", "matrix")):
         where = f"entry {k}"
         cell = (_index(item, "row", where), _index(item, "col", where))
         if cell in entries:
             raise ValueError(f"{where} repeats cell {cell}")
-        terms = tuple(
-            (
-                NuPolynomial.from_coeffs(
-                    [_gaussian_from_dict(c) for c in term["coeff"]]
-                ),
-                NuPolynomial.from_coeffs([Fraction(n, d) for n, d in term["radicand"]]),
-            )
-            for term in _field(item, "terms", where)
-        )
+        terms = []
+        for t, term in enumerate(_list(item, "terms", where)):
+            at = f"{where} term {t}"
+            coeff = [
+                GaussianRational(*(_fraction(_field(c, part, at), f"{at} coeff {part!r}") for part in ("re", "im")))
+                for c in _list(term, "coeff", at)
+            ]
+            radicand = [_fraction(pair, f"{at} radicand") for pair in _list(term, "radicand", at)]
+            terms.append((NuPolynomial.from_coeffs(coeff), NuPolynomial.from_coeffs(radicand)))
         entries[cell] = RadicalSum._from_raw(terms)  # canonical, as built
     return OperatorMatrix.from_entries(basis, entries)
 

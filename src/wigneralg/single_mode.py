@@ -13,7 +13,6 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
-    _block,
     _memo_scope,
     anticommutator,
     check_relation,
@@ -22,7 +21,7 @@ from .operators import (
     fock_basis,
 )
 from .reports import AlgebraReport, Verdict, Witness, exact_report
-from .scalars import P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
+from .scalars import P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, RadicalSum, deformed_number, ladder_level
 
 
 class SingleModeSet(NamedTuple):
@@ -34,34 +33,15 @@ class SingleModeSet(NamedTuple):
 
 
 def build_single_mode(dim: int) -> SingleModeSet:
-    """a|n> = sqrt([n])|n-1>, adag|n> = sqrt([n+1])|n+1>, N = diag(n), R = diag((-1)^n)."""
+    """a|n> = sqrt([n])|n-1>, adag|n> = sqrt([n+1])|n+1>, N = diag(n), R = diag((-1)^n), entries from :func:`ladder_level`."""
     if dim < 2:
         raise InvalidDimensionError("single-mode truncation needs dim >= 2")
     basis = fock_basis(dim)
-    a = OperatorMatrix.from_entries(
-        basis,
-        {(n - 1, n): RadicalSum.sqrt_poly(deformed_number(n)) for n in range(1, dim)},
-    )
-    n_op = OperatorMatrix.diagonal([NuPolynomial.constant(n) for n in range(dim)], basis)
+    levels = [ladder_level(n) for n in range(dim)]
+    a = OperatorMatrix.from_entries(basis, {(n - 1, n): levels[n].root for n in range(1, dim)})
+    n_op = OperatorMatrix.diagonal([level.n for level in levels], basis)
     r_op = OperatorMatrix.diagonal([(R_ONE, R_MINUS_ONE)[n % 2] for n in range(dim)], basis)
     return SingleModeSet(dim=dim, a=a, a_dag=a.adjoint(), n_op=n_op, r_op=r_op)
-
-
-def cut_single_mode(ladder: SingleModeSet, dim: int) -> SingleModeSet:
-    """The single-mode set at ``dim`` as the leading block of ``ladder``, holding its entry objects.
-
-    The cut ignores where an operator leaves the block: adag raises its top
-    level out of it by design.  Sets cut from one ladder hold the same
-    ``sqrt([n])`` and ``n`` objects, so the product kernel, which memoizes by
-    entry ids, computes a product they share once.
-    """
-    if dim == ladder.dim:
-        return ladder
-    if not 2 <= dim < ladder.dim:
-        raise InvalidDimensionError(f"cannot cut dim {dim} from a single-mode set of dim {ladder.dim}")
-    basis = ladder.a.basis[:dim]
-    ops = (ladder.a, ladder.a_dag, ladder.n_op, ladder.r_op)
-    return SingleModeSet(dim, *(_block(op, range(dim), basis)[0] for op in ops))
 
 
 def number_mask(dim: int) -> Set[int]:

@@ -27,7 +27,7 @@ from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, anticommut
 from .operators import _block, _memo_scope, check_specs, commutator, fock_basis, spin_basis
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import HALF, P_I, P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
-from .scalars import numeric_eval
+from .scalars import ladder_level, numeric_eval
 
 
 class SuNu2Rep(NamedTuple):
@@ -89,8 +89,7 @@ def build_js_spin_rep(two_j: int) -> SuNu2Rep:
     dim = two_j + 1
     # row index i corresponds to m = j - i, so n1 = 2j - i and n2 = i; J+ entry i is
     # sqrt([2j+1-i]) sqrt([i]), equal to entry 2j+1-i: one object per mirror pair
-    roots = [RadicalSum.sqrt_poly(deformed_number(k)) for k in range(dim)]
-    mirrored = {i: roots[dim - i] * roots[i] for i in range(1, dim // 2 + 1)}
+    mirrored = {i: ladder_level(dim - i).root * ladder_level(i).root for i in range(1, dim // 2 + 1)}
     j_plus = OperatorMatrix.from_entries(basis, {(i - 1, i): mirrored[min(i, dim - i)] for i in range(1, dim)})
     j0 = OperatorMatrix.diagonal(
         [NuPolynomial.constant(label.m) for label in basis], basis
@@ -324,17 +323,14 @@ def build_hp_rep(two_j: int) -> HPRep:
     if two_j < 1:
         raise InvalidSpinError("spin representations need 2j >= 1")
     if two_j % 2 == 1:
-        leakage = RadicalSum.sqrt_poly(hp_diagonal_factor(two_j, two_j)) * RadicalSum.sqrt_poly(
-            deformed_number(two_j + 1)
-        )
+        leakage = RadicalSum.sqrt_poly(hp_diagonal_factor(two_j, two_j)) * ladder_level(two_j + 1).root
         raise OddTwoJNotClosedError(two_j, leakage)
     dim = two_j + 1
     basis = fock_basis(dim)
     j_plus = OperatorMatrix.from_entries(
         basis,
         {
-            (n - 1, n): RadicalSum.sqrt_poly(hp_diagonal_factor(two_j, n - 1))
-            * RadicalSum.sqrt_poly(deformed_number(n))
+            (n - 1, n): RadicalSum.sqrt_poly(hp_diagonal_factor(two_j, n - 1)) * ladder_level(n).root
             for n in range(1, dim)
         },
     )

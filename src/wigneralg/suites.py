@@ -14,14 +14,8 @@ from .errors import OddTwoJNotClosedError
 from .operators import RelationSpec, _memo_scope, check_relation, check_specs, numeric_relation_report
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import _cross_failure, _pair_failure, deformed_number
-from .single_mode import (
-    SingleModeSet,
-    build_single_mode,
-    cut_single_mode,
-    single_mode_relation_specs,
-    truncation_defect_report,
-)
-from .two_mode import _from_one_ladder, two_mode_relation_specs
+from .single_mode import build_single_mode, single_mode_relation_specs, truncation_defect_report
+from .two_mode import two_mode_from, two_mode_relation_specs
 from .realizations import audit_realizations
 from .spin import (
     JS_OPERATORS,
@@ -47,8 +41,8 @@ from .spin import (
 
 # Family kind -> builder(run, *sizes); a builder takes the parts it shares from the run.
 KINDS: Dict[str, Callable] = {
-    "single-mode": lambda run, dim: cut_single_mode(run.ladder(dim), dim),
-    "two-mode": lambda run, d1, d2: _from_one_ladder(lambda dim: run.family("single-mode", dim), d1, d2),
+    "single-mode": lambda run, dim: build_single_mode(dim),
+    "two-mode": lambda run, d1, d2: two_mode_from(run.family("single-mode", d1), run.family("single-mode", d2)),
     "js": lambda run, two_j: build_js_spin_rep(two_j),
     "so3": lambda run, two_j: so_nu3_from(run.family("js", two_j)),
     "hp": lambda run, two_j: build_hp_rep(two_j),
@@ -92,22 +86,16 @@ class Run:
     """Builds families through :data:`KINDS` and checks relation sets on them.
 
     Shared kinds are built once and kept; any other family, and every spec
-    list, lives as long as its caller holds it. Every single-mode family is
-    cut from the run's one ladder (:meth:`ladder`). ``grid`` plans (relation
+    list, lives as long as its caller holds it. A two-mode family tensors the
+    run's single-mode families, and every family holds the ladder entries of
+    :func:`~wigneralg.scalars.ladder_level`. ``grid`` plans (relation
     set, sizes) pairs: the first exact check of one samples its specs on the
     grid. A run keeps those reports; each report evaluates its own entries.
     """
 
     def __init__(self, grid: Sequence[Tuple[str, tuple]] = ()) -> None:
         self._shared: Dict[tuple, object] = {}
-        self._ladder: Optional[SingleModeSet] = None
         self._grid: Dict[Tuple[str, tuple], Optional[List[AlgebraReport]]] = dict.fromkeys(grid)
-
-    def ladder(self, dim: int) -> SingleModeSet:
-        """The run's single-mode set the single-mode families are cut from; built at ``dim`` if it stops below."""
-        if self._ladder is None or self._ladder.dim < dim:
-            self._ladder = build_single_mode(dim)
-        return self._ladder
 
     def family(self, kind: str, *sizes: int):
         family = self._shared.get((kind, *sizes))
@@ -190,13 +178,13 @@ def number_suite(max_n: int = 50) -> List[AlgebraReport]:
 
 @_memo_scope
 def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, run: Optional[Run] = None) -> List[AlgebraReport]:
-    """The single-mode relations and truncation defect at each dim, cut from one ladder at ``max_dim``.
+    """The single-mode relations and truncation defect at each dim from ``min_dim`` to ``max_dim``.
 
-    Every dim's spec list runs in this call's memo scope, so a product the
+    The dims hold the same ladder entries (:func:`~wigneralg.scalars.ladder_level`)
+    and every dim's spec list runs in this call's memo scope, so a product the
     dims share is computed once.
     """
     run = run or Run()
-    run.ladder(max_dim)
     per_dim = []
     defects = []
     for dim in range(min_dim, max_dim + 1):

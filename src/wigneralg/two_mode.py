@@ -7,7 +7,7 @@ products satisfy as-is.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Set, Tuple
+from typing import List, NamedTuple, Set, Tuple
 
 from .errors import InvalidDimensionError
 from .operators import (
@@ -21,7 +21,7 @@ from .operators import (
 )
 from .reports import AlgebraReport
 from .scalars import P_NU, P_TWO_NU
-from .single_mode import SingleModeSet, build_single_mode, cut_single_mode
+from .single_mode import SingleModeSet, build_single_mode
 
 
 class TwoModeSet(NamedTuple):
@@ -38,19 +38,9 @@ class TwoModeSet(NamedTuple):
 
 def build_two_mode(d1: int, d2: int) -> TwoModeSet:
     """a1 = a (x) I, a2 = I (x) a, and likewise for N and R; row-major in (n1, n2)."""
-    return _from_one_ladder(build_single_mode, d1, d2)
-
-
-def _from_one_ladder(single_mode: Callable[[int], SingleModeSet], d1: int, d2: int) -> TwoModeSet:
-    """The two-mode set at (d1, d2) from ``single_mode(max(d1, d2))``; the smaller mode is its leading block.
-
-    Both modes then hold that set's ``sqrt([n])`` and ``n`` objects, and the
-    product kernel computes a cross-mode product once (:func:`cut_single_mode`).
-    """
     if d1 < 2 or d2 < 2:
         raise InvalidDimensionError("two-mode truncation needs d1, d2 >= 2")
-    ladder = single_mode(max(d1, d2))
-    return two_mode_from(cut_single_mode(ladder, d1), cut_single_mode(ladder, d2))
+    return two_mode_from(build_single_mode(d1), build_single_mode(d2))
 
 
 def two_mode_from(m1: SingleModeSet, m2: SingleModeSet) -> TwoModeSet:

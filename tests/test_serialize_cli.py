@@ -44,8 +44,10 @@ def test_label_roundtrip():
         for label in rep_basis:
             assert label_from_string(label_to_string(label)) == label
     assert label_to_string(label_from_string("two(2,5)")) == "two(2,5)"
-    with pytest.raises(ValueError):
-        label_from_string("nope(1)")
+    # only the text label_to_string writes reads back
+    for text in ("nope(1)", "fock(1))", "two(1,2", "fock(+1)", "spin(1/0,0)", "two(1)"):
+        with pytest.raises(ValueError, match="cannot read basis label"):
+            label_from_string(text)
 
 
 def test_label_from_string_refuses_spins_without_integer_2j_and_2m():
@@ -91,6 +93,19 @@ def _one_cell(**changes):
             {"dim": 2, "basis": ["fock(0)", "fock(1)"], "entries": _one_cell()["entries"] * 2},
             r"entry 1 repeats cell \(0, 1\)",
         ),
+        (_one_cell(terms=[{"radicand": [[1, 1]]}]), "entry 0 term 0 has no 'coeff'"),
+        (_one_cell(terms=[{"coeff": [{"im": [0, 1]}], "radicand": [[1, 1]]}]), "entry 0 term 0 has no 're'"),
+        (
+            _one_cell(terms=[{"coeff": [{"re": [1, 1], "im": [0, 1]}], "radicand": [[1, 0]]}]),
+            "entry 0 term 0 radicand needs",
+        ),
+        (_one_cell(terms=5), "entry 0 needs a list 'terms'"),
+        (
+            _one_cell(terms=[{"coeff": [{"re": [1.0, 1], "im": [0, 1]}], "radicand": [[1, 1]]}]),
+            "entry 0 term 0 coeff 're' needs",
+        ),
+        ({"dim": 2, "basis": ["fock(0)", "fock(1))"], "entries": []}, r"basis label 'fock\(1\)\)'"),
+        ({"dim": 1, "basis": ["two(1,2"], "entries": []}, r"basis label 'two\(1,2'"),
     ],
 )
 def test_matrix_from_dict_refuses_a_malformed_entry(data, message):
@@ -388,6 +403,14 @@ def test_cli_verify_small():
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
     assert " 0 fail" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["numbers", "errata"])
+def test_cli_refuses_strict_where_no_caveat_can_change_the_exit_code(command, capsys):
+    # both always exit 0, so an accepted --strict would promise a gate it cannot keep
+    assert cli.run([command, "--strict"]) == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    assert cli.run([command]) == 0
 
 
 def test_cli_realizations_payload():

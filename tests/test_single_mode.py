@@ -1,19 +1,23 @@
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from wigneralg.errors import InvalidDimensionError
-from wigneralg.operators import OperatorMatrix, check_relation, commutator, eval_matrix
+from wigneralg.operators import OperatorMatrix, TwoModeLabel, check_relation, commutator, eval_matrix
 from wigneralg.reports import Verdict
-from wigneralg.scalars import NuPolynomial, RadicalSum, deformed_number
+from wigneralg.scalars import NuPolynomial, RadicalSum, deformed_number, ladder_level
 from wigneralg.single_mode import (
     audit_single_mode,
     build_single_mode,
-    cut_single_mode,
     single_mode_relation_specs,
     truncation_defect_report,
 )
+from wigneralg.spin import build_hp_rep, build_js_spin_rep
+from wigneralg.two_mode import build_two_mode
 
 
 def test_dim2_matrix():
@@ -55,16 +59,113 @@ def test_adag_shares_the_entry_objects_of_a():
         assert s.a_dag.entry(n, n - 1) is s.a.entry(n - 1, n)
 
 
-def test_a_cut_equals_the_set_built_at_its_dim_and_holds_the_ladder_objects():
-    ladder = build_single_mode(8)
-    assert cut_single_mode(ladder, 8) is ladder
-    for dim in (2, 5, 7):
-        cut = cut_single_mode(ladder, dim)
-        assert cut == build_single_mode(dim)
-        assert all(cut.a.entry(n - 1, n) is ladder.a.entry(n - 1, n) for n in range(1, dim))
-    for dim in (1, 9):
-        with pytest.raises(InvalidDimensionError):
-            cut_single_mode(ladder, dim)
+def _products_made_by(build, *args):
+    """The operand pairs of every scalar product ``build(*args)`` makes."""
+    pairs = []
+    multiply = RadicalSum.__mul__
+
+    def recording(x, y):
+        pairs.append((x, y))
+        return multiply(x, y)
+
+    with mock.patch.object(RadicalSum, "__mul__", recording):
+        build(*args)
+    return pairs
+
+
+def test_families_of_every_size_hold_the_ladder_level_objects():
+    # sqrt([n]) and n are one object each per n, whichever family reads them
+    for dim in (2, 5, 8):
+        s = build_single_mode(dim)
+        for n in range(1, dim):
+            assert s.a.entry(n - 1, n) is ladder_level(n).root
+            assert s.a_dag.entry(n, n - 1) is ladder_level(n).root
+        assert all(s.n_op.entry(n, n) is ladder_level(n).n for n in range(dim))
+    s = build_two_mode(3, 7)
+    for mode, dim in enumerate(s.dims):
+        def at(n):
+            return s.basis.index(TwoModeLabel(n, 0) if mode == 0 else TwoModeLabel(0, n))
+
+        for n in range(1, dim):
+            assert s.a[mode].entry(at(n - 1), at(n)) is ladder_level(n).root
+            assert s.n_op[mode].entry(at(n), at(n)) is ladder_level(n).n
+    # JS entry i is sqrt([2j+1-i]) sqrt([i]); HP entry n is sqrt(g(n-1)) sqrt([n])
+    for two_j in (1, 4, 7):
+        dim = two_j + 1
+        pairs = _products_made_by(build_js_spin_rep, two_j)
+        assert len(pairs) == dim // 2
+        for i, (x, y) in enumerate(pairs, start=1):
+            assert x is ladder_level(dim - i).root and y is ladder_level(i).root
+    for two_j in (2, 6):
+        pairs = _products_made_by(build_hp_rep, two_j)
+        assert len(pairs) == two_j
+        assert all(y is ladder_level(n).root for n, (_, y) in enumerate(pairs, start=1))
+
+
+def _python(script):
+    """The stdout words of ``script`` run in a fresh interpreter, whose ladder-level table starts empty."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_each_ladder_level_is_canonicalized_once_per_process():
+    counts = _python(
+        """
+from wigneralg.scalars import RadicalSum
+from wigneralg.single_mode import build_single_mode
+from wigneralg.spin import build_hp_rep, build_js_spin_rep
+from wigneralg.two_mode import build_two_mode
+
+calls = []
+sqrt_poly = RadicalSum.sqrt_poly
+RadicalSum.sqrt_poly = staticmethod(lambda p: calls.append(p) or sqrt_poly(p))
+for dim in [*range(2, 31), *range(30, 1, -1)]:
+    build_single_mode(dim)
+print(len(calls))
+build_two_mode(30, 7)
+for two_j in range(1, 30):
+    build_js_spin_rep(two_j)
+print(len(calls))
+build_hp_rep(6)
+build_hp_rep(28)
+print(len(calls))
+"""
+    )
+    # levels 1..29 once each (sqrt([0]) is zero); then only HP's own g(n) roots, 6 + 28
+    assert counts == ["29", "29", "63"]
+
+
+def test_threads_building_at_once_get_the_serially_built_sets():
+    assert _python(
+        """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from wigneralg.single_mode import build_single_mode
+
+sys.setswitchinterval(1e-6)
+dims = range(2, 31)
+start = threading.Barrier(4, timeout=60)
+
+def build_all(k):
+    start.wait()
+    return {dim: build_single_mode(dim) for dim in (dims if k % 2 else reversed(dims))}
+
+with ThreadPoolExecutor(max_workers=4) as pool:
+    threaded = list(pool.map(build_all, range(4)))
+serial = {dim: build_single_mode(dim) for dim in dims}
+assert all(sets == serial for sets in threaded)
+# every thread reads the level the first one stored
+assert all(
+    sets[dim].a.entry(n - 1, n) is serial[dim].a.entry(n - 1, n)
+    for sets in threaded
+    for dim in dims
+    for n in range(1, dim)
+)
+print("ok")
+"""
+    ) == ["ok"]
 
 
 def test_audit_passes_for_all_dims():

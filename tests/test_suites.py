@@ -223,11 +223,11 @@ def test_single_mode_suite_matches_fresh_families(monkeypatch, bad):
         assert (failed[0].witness.row, failed[0].witness.col, failed[0].witness.expected) == (bad - 1, bad - 1, "2")
 
 
-def test_verify_all_cuts_the_single_mode_section_from_one_ladder(monkeypatch):
-    # dims 2..25, the two-mode family at 10 and the grid's 12 are cut from one
-    # ladder at 25, and the section checks its dims in one memo scope: each
-    # dim building its own ladder, in its own scope, made 24 ladders and
-    # 1,597 scalar products in the section
+def test_verify_all_checks_the_single_mode_section_in_one_scope(monkeypatch):
+    # dims 2..25 are built once each, the two-mode family at 10 and the grid's
+    # 12 read the section's sets, and the section checks its dims, which hold
+    # the same ladder levels, in one memo scope: checking each dim in its own
+    # scope made 1,597 scalar products in the section
     counts = Counter()
     inside = []
     multiply, section = RadicalSum.__mul__, suites.single_mode_suite
@@ -245,10 +245,11 @@ def test_verify_all_cuts_the_single_mode_section_from_one_ladder(monkeypatch):
 
     monkeypatch.setattr(RadicalSum, "__mul__", counting)
     monkeypatch.setattr(suites, "single_mode_suite", counted_section)
-    monkeypatch.setattr(suites, "build_single_mode", _counting(counts, "build", build_single_mode))
+    built = []
+    monkeypatch.setattr(suites, "build_single_mode", lambda dim: built.append(dim) or build_single_mode(dim))
     verdicts = Counter(r.verdict for reports in verify_all().values() for r in reports)
     assert verdicts == {Verdict.PASS: 216, Verdict.PASS_WITH_CAVEAT: 6}
-    assert counts["build"] == 1
+    assert built == list(range(2, 26))
     assert 0 < counts["mul"] <= 239
 
 
@@ -340,9 +341,9 @@ def test_verify_all_builds_each_family_once(monkeypatch):
     assert not repeated
     per_function = Counter(key[0] for key in calls)
     assert per_function["build_js_spin_rep"] == 4  # 2j = 1..4
-    # one ladder at the section's top dim 6, which dims 2..6 and the two-mode
-    # family are cut from, and one at the grid's 12
-    assert per_function["build_single_mode"] == 2
+    # one per dim of the section, 2..6, whose dim-5 set both modes of the
+    # two-mode family read, and one at the grid's 12
+    assert per_function["build_single_mode"] == 6
     assert per_function["tensor"] == 8  # one two-mode family: four operators per mode
     # the truncation defect reads the bracket from the family's specs
     assert sorted(s.dim for s in single_modes) == [2, 3, 4, 5, 6, 12]

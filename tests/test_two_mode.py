@@ -91,21 +91,23 @@ def test_two_mode_from_tensors_the_sets_it_is_given():
 
 
 @pytest.mark.parametrize("dims", [(6, 9), (9, 6)])
-def test_run_cuts_both_modes_from_its_single_mode_set(dims):
+def test_run_tensors_its_single_mode_families(dims):
     run = Run()
     with mock.patch.object(suites, "build_single_mode", wraps=build_single_mode) as builds:
         s = run.family("two-mode", *dims)
-    # one single-mode set, at the larger dim, serves both modes
-    builds.assert_called_once_with(9)
-    ladder = run.family("single-mode", 9)
+        assert run.family("two-mode", *dims) is s
+    # one single-mode family per mode, each built once and kept by the run
+    assert [call.args for call in builds.call_args_list] == [(dims[0],), (dims[1],)]
     for mode, dim in enumerate(dims):
+        single = run.family("single-mode", dim)
+
         def at(n):
             return index_of(s, *((n, 0) if mode == 0 else (0, n)))
 
         for n in range(1, dim):
-            assert s.a[mode].entry(at(n - 1), at(n)) is ladder.a.entry(n - 1, n)
-            assert s.a_dag[mode].entry(at(n), at(n - 1)) is ladder.a_dag.entry(n, n - 1)
-            assert s.n_op[mode].entry(at(n), at(n)) is ladder.n_op.entry(n, n)
+            assert s.a[mode].entry(at(n - 1), at(n)) is single.a.entry(n - 1, n)
+            assert s.a_dag[mode].entry(at(n), at(n - 1)) is single.a_dag.entry(n, n - 1)
+            assert s.n_op[mode].entry(at(n), at(n)) is single.n_op.entry(n, n)
 
 
 def test_audit_verdicts_pinned():

@@ -12,7 +12,7 @@ import pytest
 from wigneralg.cli import RunConfig
 from wigneralg.operators import FockLabel, OperatorMatrix, SpinLabel, TwoModeLabel, _block, fock_basis
 from wigneralg.realizations import BiPolynomial, build_quasi_basis
-from wigneralg.reports import AlgebraReport, CheckMode, Value, Verdict, Witness
+from wigneralg.reports import NAN, AlgebraReport, CheckMode, Value, Verdict, Witness, exact_report
 from wigneralg.scalars import R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number
 from wigneralg.single_mode import build_single_mode
 from wigneralg.two_mode import audit_two_mode, build_two_mode
@@ -139,3 +139,18 @@ def test_matrices_and_family_records_survive_copying(duplicate):
     m = OperatorMatrix.from_entries(fock_basis(3), {(1, 2): R_ONE})
     assert _block(duplicate(m), [1, 2], fock_basis(2)) == _block(m, [1, 2], fock_basis(2))
     assert all(v is R_ZERO for band in duplicate(m)._bands.values() for v in band if not v.terms)
+
+
+def test_equal_failing_reports_share_one_nan_residual():
+    # a NaN equals only itself: each report holding its own made equal
+    # failing reports unequal, and a set kept both
+    made = [
+        exact_report("x", WITNESS),
+        exact_report("x", WITNESS),
+        AlgebraReport("x", CheckMode.EXACT, float("nan"), Verdict.FAIL, witness=WITNESS),
+    ]
+    copies = [pickle.loads(pickle.dumps(report)) for report in made] + [copy.deepcopy(made[0])]
+    assert all(report.max_residual is NAN for report in made + copies)
+    assert all(report == made[0] and hash(report) == hash(made[0]) for report in made + copies)
+    assert len(set(made + copies)) == 1
+    assert exact_report("y", WITNESS) != made[0]

@@ -6,35 +6,30 @@ spin generators and their Kronecker products) are weighted shifts with one
 or two bands, so products, sums, relation checks and exports cost
 O(bands * dim), not O(dim^2).
 
-Every operation memoizes the entries it computes by the ids of the entry
-objects they are made of (:func:`_memoized`).  ``@``, ``commutator`` and
-``anticommutator`` run one fused kernel, :func:`_fused`: a bracket entry
-``x*y -/+ u*v`` is one lookup under its four entry ids, and only a miss
-reaches the memos of single products and of sums.  These memos last for
-the outermost call decorated with :func:`_memo_scope` that the kernel runs
-in: one spec list, one relation set (so_nu(3)'s two spec functions) or the
-single-mode section (all its dims, which hold the same ladder entries of
-:func:`~wigneralg.scalars.ladder_level`); or for the kernel's own call
-outside one.  ``+``, ``-``, ``scale`` and ``adjoint`` keep theirs for one
-call.  No id-keyed memo outlives the call that made it; the ladder-level
-table caches immutable values by int, not by id, and lives for the process.
-Only this module reads bands: sub-blocks, such as a fixed-2j block, are cut
-by :func:`_block`.
+Entries are hash-consed radical sums (one object per value), so every
+operation memoizes the entries it computes under the entries they are made
+of (:func:`_memoized`).  ``@``, ``commutator`` and ``anticommutator`` run
+one fused kernel, :func:`_fused`: a bracket entry ``x*y -/+ u*v`` is one
+lookup under its four entries and sign, and only a miss computes its
+products and their sum.  Bracket entries and products share one memo for
+the process, :data:`_MEMO`, which holds its keys, so it serves every
+relation set and is cleared when it reaches :data:`_MEMO_SIZE`.
+``+``, ``-``, ``scale`` and ``adjoint`` keep a memo for one call.  Only
+this module reads bands: sub-blocks, such as a fixed-2j block, are cut by
+:func:`_block`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from contextvars import ContextVar
 from fractions import Fraction
 from itertools import repeat
-from operator import is_, is_not
+from operator import add, is_, is_not
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DimensionMismatchError
 from .reports import AlgebraReport, CheckMode, Value, Verdict, Witness
-from .scalars import R_ONE, R_ZERO, RadicalSum, numeric_eval, radical_values_equal
+from .scalars import R_ONE, R_ZERO, RadicalSum, _require_nu, numeric_eval, radical_values_equal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,25 +120,12 @@ class _Bands(dict):
 
     __slots__ = ()
 
-    def __reduce__(self):
-        # a copied or unpickled zero is a new object, and the kernel finds zeros by identity
-        return _restored, (tuple(self.items()),)
-
-
-def _restored(items: Tuple[Tuple[int, tuple], ...]) -> _Bands:
-    """Copied bands with R_ZERO back in every zero cell."""
-    return _Bands((k, tuple(v if v.terms else R_ZERO for v in band)) for k, band in items)
-
 
 def _kept(acc: Dict[int, Sequence[RadicalSum]]) -> _Bands:
     """The bands of ``acc`` in offset order as tuples, all-zero bands dropped.
 
-    Every zero cell of ``acc`` must already be R_ZERO, so that an identity
-    test finds the nonzero bands.  A zero that is another object (a merge
-    can build one) is replaced by R_ZERO where it is made: once per distinct
-    value in :func:`_memoized` and :func:`_sum`, and once per entry in
-    ``diagonal``.  Validated rows hold no zeros, ``_block`` copies stored
-    entries, and products of nonzero entries (``tensor``) are nonzero.
+    Every zero is R_ZERO, the one zero object, so an identity test finds
+    the nonzero bands.
     """
     return _Bands((k, tuple(acc[k])) for k in sorted(acc) if any(map(is_not, acc[k], repeat(R_ZERO))))
 
@@ -155,21 +137,18 @@ def _checked_basis(basis: Sequence[BasisLabel]) -> Tuple[BasisLabel, ...]:
     return basis
 
 
-def _memoized(compute, memo: Dict[Tuple[int, ...], RadicalSum], columns: Sequence[tuple], ids=None) -> list:
-    """compute(*entries) at each position of the equal-length ``columns``, memoized by the entries' ids.
+def _memoized(compute, memo: Dict[tuple, RadicalSum], columns: Sequence[Iterable]) -> list:
+    """compute(*key) at each position of the ``columns``, memoized under the key of its entries.
 
-    ``ids`` holds the ids of each column's entries, if the caller has them.
-    A position costs one lookup; a miss computes its value, stored as
-    R_ZERO if it is zero.  The caller keeps every entry a key names alive
-    while ``memo`` is.
+    The key of a position is the tuple of the columns' items there; the
+    shortest column ends the scan.  A position costs one lookup.
     """
     values: List[RadicalSum] = []
     append, get = values.append, memo.get
-    for key, entries in zip(zip(*(ids or [map(id, column) for column in columns])), zip(*columns)):
+    for key in zip(*columns):
         value = get(key)
         if value is None:
-            value = compute(*entries)
-            value = memo[key] = value if value.terms else R_ZERO
+            value = memo[key] = compute(*key)
         append(value)
     return values
 
@@ -177,18 +156,18 @@ def _memoized(compute, memo: Dict[Tuple[int, ...], RadicalSum], columns: Sequenc
 def _entrywise(combine, dim: int, left: Dict[int, tuple], right: Dict[int, tuple]) -> _Bands:
     """combine(left entry, right entry) on every offset of either side.
 
-    Computed once per call for each distinct pair of entry objects: ``R``
-    holds only R_ONE and R_MINUS_ONE, and a tensor factor repeats its entries.
+    Computed once per call for each distinct pair of entries: ``R`` holds
+    only R_ONE and R_MINUS_ONE, and a tensor factor repeats its entries.
     """
-    memo: Dict[Tuple[int, ...], RadicalSum] = {}
+    memo: Dict[tuple, RadicalSum] = {}
     zero_band = (R_ZERO,) * dim
     offsets = left.keys() | right.keys()
     return _kept({k: _memoized(combine, memo, (left.get(k, zero_band), right.get(k, zero_band))) for k in offsets})
 
 
 def _each(op, bands: Dict[int, tuple]) -> _Bands:
-    """op(entry) on every entry of ``bands``, once per call for each distinct entry object; op must keep zero."""
-    memo: Dict[Tuple[int, ...], RadicalSum] = {}
+    """op(entry) on every entry of ``bands``, once per call for each distinct entry; op must keep zero."""
+    memo: Dict[tuple, RadicalSum] = {}
     return _kept({k: _memoized(op, memo, (band,)) for k, band in bands.items()})
 
 
@@ -208,9 +187,9 @@ class OperatorMatrix(Value):
     ``commutator`` and ``anticommutator`` through :func:`_fused`, ``+``,
     ``-``, ``scale``, ``adjoint``, ``tensor``) build canonical bands from
     canonical operands and pass them as ``_Bands``, stored unchecked.  They
-    memoize the entries they compute by entry ids within one call, or, for
-    the fused kernel inside a scoped call, within the outermost one (see
-    :func:`_memo_scope`).  Nothing is cached on a matrix: ``rows``
+    memoize the entries they compute under their operand entries: for one
+    call, or, in the fused kernel, in the process-wide :data:`_MEMO`.
+    Nothing is cached on a matrix: ``rows``
     and ``row_nonzeros()`` are derived on each call.
     """
 
@@ -252,7 +231,7 @@ class OperatorMatrix(Value):
     def diagonal(values: Sequence, basis: Sequence[BasisLabel]) -> "OperatorMatrix":
         if len(values) != len(basis):
             raise ValueError("diagonal length must match basis size")
-        values = [v if v.terms else R_ZERO for v in map(RadicalSum.coerce, values)]
+        values = list(map(RadicalSum.coerce, values))
         return OperatorMatrix(_checked_basis(basis), _kept({0: values}))
 
     @staticmethod
@@ -333,92 +312,28 @@ class OperatorMatrix(Value):
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
-class _Memos:
-    """The memos of ``_fused``, for one scope (see :func:`_memo_scope`) or one call.
-
-    ``fused`` maps a sign (0 for ``@``, 1 for ``{A, B}``, -1 for ``[A, B]``)
-    to a memo of whole entries, keyed by the ids of the entry objects that
-    make them: ``(x, y)`` for ``x*y``, ``(x, y, u, v)`` for ``x*y + sign*u*v``.
-    Only a miss there reads ``products``, which holds each scalar product
-    under its unordered pair of entry ids, and ``sums``, which holds each
-    ``p + sign*q`` under the ids of ``p`` and ``q`` and the sign.
-    ``padded`` holds each operand band, and the ids of its entries, with
-    ``dim`` zeros on either side, under the band's id.
-
-    Keys are object ids, so every object a key names must outlive the
-    memo: CPython reuses a freed object's id, which would return another
-    key's value.  Products and sums stay alive as memo values; ``keep``
-    holds the bands of every operand, which may be a temporary of the spec
-    list.
-    """
-
-    __slots__ = ("fused", "products", "sums", "padded", "keep")
-
-    def __init__(self) -> None:
-        self.fused: Dict[int, Dict[Tuple[int, ...], RadicalSum]] = {0: {}, 1: {}, -1: {}}
-        self.products: Dict[Tuple[int, int], RadicalSum] = {}
-        self.sums: Dict[Tuple[int, int, int], RadicalSum] = {}
-        self.padded: Dict[int, Tuple[tuple, Tuple[int, ...]]] = {}
-        self.keep: List[Dict[int, tuple]] = []
+# Products (key (x, y), stored under both orders) and bracket entries
+# (x, y, u, v, sign) of the fused kernel, for the process.
+# Keys hold interned entries, so a key names one value as long as it is
+# stored.  Cleared when a kernel call starts with it at _MEMO_SIZE or more.
+_MEMO: Dict[tuple, RadicalSum] = {}
+_MEMO_SIZE = 1 << 14
 
 
-# the memos of the outermost scoped call running in this thread, if any
-_scope: ContextVar[Optional[_Memos]] = ContextVar("wigneralg_memo_scope", default=None)
-
-
-def _memo_scope(spec_function):
-    """Run ``spec_function`` with one set of ``_fused`` memos for all its products and brackets.
-
-    The relations of one set bracket the same few operators, so their
-    entries repeat across specs.  A call inside another scoped call joins
-    that scope, so its memos serve both: one relation set's spec functions,
-    or every dim of the single-mode section, whose sets hold the same ladder
-    entries.  The memos are dropped when the outermost scoped call returns
-    or raises.
-    """
-
-    @functools.wraps(spec_function)
-    def scoped(*args, **kwargs):
-        if _scope.get() is not None:
-            return spec_function(*args, **kwargs)
-        token = _scope.set(_Memos())
-        try:
-            return spec_function(*args, **kwargs)
-        finally:
-            _scope.reset(token)
-
-    return scoped
-
-
-def _product(products: Dict[Tuple[int, int], RadicalSum], x: RadicalSum, y: RadicalSum) -> RadicalSum:
-    """x * y, computed once for its unordered pair of entry objects (x*y and y*x are one canonical form)."""
+def _product(x: RadicalSum, y: RadicalSum) -> RadicalSum:
+    """x * y, computed once while the memo holds it (x*y and y*x are one value)."""
     if x is R_ZERO or y is R_ZERO:
         return R_ZERO
-    a, b = id(x), id(y)
-    key = (a, b) if a < b else (b, a)
-    value = products.get(key)
+    value = _MEMO.get((x, y))
     if value is None:
-        value = products[key] = x * y
+        value = _MEMO[x, y] = _MEMO[y, x] = x * y
     return value
 
 
-def _sum(sums: Dict[Tuple[int, int, int], RadicalSum], x: RadicalSum, y: RadicalSum, sign: int = 1) -> RadicalSum:
-    """x + sign*y, computed once for its pair of objects and sign."""
-    if y is R_ZERO:
-        return x
-    if x is R_ZERO and sign > 0:
-        return y
-    key = (id(x), id(y), sign)
-    total = sums.get(key)
-    if total is None:
-        total = x + y if sign > 0 else x - y
-        total = sums[key] = total if total.terms else R_ZERO
-    return total
-
-
-def _bracket_entry(memos: _Memos, sign: int, x, y, u, v) -> RadicalSum:
-    """x*y + sign*u*v, its products from the product memo and its sum from the sum memo."""
-    return _sum(memos.sums, _product(memos.products, x, y), _product(memos.products, u, v), sign)
+def _bracket_entry(x, y, u, v, sign: int) -> RadicalSum:
+    """x*y + sign*u*v, its products from the memo."""
+    xy, uv = _product(x, y), _product(u, v)
+    return xy + uv if sign > 0 else xy - uv
 
 
 def _cancels(xs: tuple, ys: tuple, us: tuple, vs: tuple) -> bool:
@@ -440,48 +355,39 @@ def _fused(a: OperatorMatrix, b: OperatorMatrix, sign: int) -> OperatorMatrix:
     Band k of A and band l of B write entry i of band k+l as
     ``A_k[i]*B_l[i+k] + sign*B_l[i]*A_k[i+l]``, reading the second factor of
     each term from a band padded with ``dim`` zeros on each side.  Each entry
-    is looked up in the sign's memo under the ids of its two or four entry
-    objects; on a miss its products come from the product memo and their
-    sum from the sum memo.  A commutator's band pair that cancels entry by
-    entry (:func:`_cancels`) adds nothing and is skipped.  The memos last
-    for the outermost scoped call (:func:`_memo_scope`), or for this call
-    outside one, and keep every operand's bands alive so that no key's
-    id can be reused.
+    is looked up in :data:`_MEMO` under its two entries (a product) or its
+    four entries and sign; on a miss its products come from the same memo.  A commutator's band pair that cancels entry by entry
+    (:func:`_cancels`) adds nothing and is skipped.
     """
     a._require_same_space(b)
-    memos = _scope.get() or _Memos()
-    memos.keep += (a._bands, b._bands)
-    memo, dim = memos.fused[sign], a.dim
-    entry = functools.partial(_bracket_entry, memos, sign) if sign else functools.partial(_product, memos.products)
-    padded, pad = memos.padded, (R_ZERO,) * dim
-    for band in (*a._bands.values(), *b._bands.values()):
-        if id(band) not in padded:
-            entries = pad + band + pad
-            padded[id(band)] = (entries, tuple(map(id, entries)))
+    if len(_MEMO) >= _MEMO_SIZE:
+        _MEMO.clear()
+    dim = a.dim
+    entry, signs = (_bracket_entry, [repeat(sign)]) if sign else (_product, [])
+    pad = (R_ZERO,) * dim
+    padded = {id(band): pad + band + pad for band in (*a._bands.values(), *b._bands.values())}
     acc: Dict[int, List[RadicalSum]] = {}
     for k, a_band in a._bands.items():
-        a_padded, a_ids = padded[id(a_band)]
+        a_padded = padded[id(a_band)]
         for l, b_band in b._bands.items():
-            b_padded, b_ids = padded[id(b_band)]
+            b_padded = padded[id(b_band)]
             m = k + l
             lo, hi = max(0, -m), min(dim, dim - m)
             if lo >= hi:
                 continue
             # entries i, i+k and i+l, for i in lo..hi-1, of padded bands, whose entry i is at dim + i
             at_i, at_ik = slice(dim + lo, dim + hi), slice(dim + lo + k, dim + hi + k)
-            at_il = slice(dim + lo + l, dim + hi + l)
-            columns, ids = [a_padded[at_i], b_padded[at_ik]], [a_ids[at_i], b_ids[at_ik]]
+            columns = [a_padded[at_i], b_padded[at_ik]]
             if sign:
-                columns += (b_padded[at_i], a_padded[at_il])
-                ids += (b_ids[at_i], a_ids[at_il])
+                columns += (b_padded[at_i], a_padded[slice(dim + lo + l, dim + hi + l)])
                 if sign < 0 and _cancels(*columns):
                     continue
-            values = _memoized(entry, memo, columns, ids)
+            values = _memoized(entry, _MEMO, columns + signs)
             out = acc.get(m)
             if out is None:
                 acc[m] = [R_ZERO] * lo + values + [R_ZERO] * (dim - hi)
             else:
-                out[lo:hi] = map(functools.partial(_sum, memos.sums), out[lo:hi], values)
+                out[lo:hi] = map(add, out[lo:hi], values)
     return OperatorMatrix(a.basis, _kept(acc))
 
 
@@ -640,12 +546,6 @@ def check_specs(
     return reports
 
 
-def _require_grid(nus: Sequence[float]) -> None:
-    if not nus:
-        raise ValueError("the numeric grid needs at least one nu")
-    for nu in nus:
-        if not (math.isfinite(nu) and nu > -0.5):
-            raise ValueError(f"numeric evaluation needs finite nu > -1/2, got {nu}")
 
 
 def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
@@ -658,7 +558,7 @@ def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:
         import numpy as np  # only this dense view needs numpy; keeps start-up light
     except ImportError as exc:
         raise ImportError("eval_matrix needs numpy: pip install 'wigneralg[dense]'") from exc
-    _require_grid((nu,))
+    _require_nu(nu)
     out = np.zeros((a.dim, a.dim), dtype=complex)
     for i, row in enumerate(a.row_nonzeros()):
         for j, value in row:
@@ -677,7 +577,10 @@ def numeric_relation_report(
     residual at each nu sums |lhs - rhs|^2 over the stored columns, row by
     row.
     """
-    _require_grid(nus)
+    if not nus:
+        raise ValueError("the numeric grid needs at least one nu")
+    for nu in nus:
+        _require_nu(nu)
     if max(nus) > MAX_GRID_NU:
         raise ValueError(f"the numeric grid needs nu <= {MAX_GRID_NU:g}, got {max(nus)}")
     rows = _masked_rows(spec.lhs.dim, spec.mask)

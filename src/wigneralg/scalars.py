@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
+import weakref
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, NamedTuple, Tuple, Union
 
@@ -477,13 +479,12 @@ _LEVELS: Dict[int, LadderLevel] = {}
 
 
 def ladder_level(n: int) -> LadderLevel:
-    """sqrt([n]) and n as radical sums, one object each per n for the process.
+    """sqrt([n]) and n as radical sums, canonicalized once per n for the process.
 
-    Every family reads its ladder entries here, so families of every size hold
-    the same objects and the operator kernel, which memoizes by entry ids,
-    computes a product they share once.  The table caches immutable values by
-    the int ``n``, not by id, so the rule that no id-keyed memo outlives its
-    call does not apply to it; ``setdefault`` keeps the first level stored.
+    Every family reads its ladder entries here, so ``sqrt_poly`` runs once
+    per level however many families of whatever size are built; radical
+    sums are hash-consed, so the families hold the same objects either way.
+    ``setdefault`` keeps the first level stored.
     """
     level = _LEVELS.get(n)
     if level is None:
@@ -647,25 +648,34 @@ class RadicalSum(Value):
     rejects a radicand with a repeated polynomial factor or a negative
     leading coefficient, and products pull a shared factor out of the root.
     Square roots of distinct squarefree radicands are linearly independent,
-    so equal values have one form and equality is canonical-form equality:
-    ``==`` is true for the same object, else compares ``terms``, and a
-    radical sum equals no value of another type.  Immutable: ``terms`` is
-    set once, in the constructor, which takes it as given.
+    so equal values have one form.
+
+    Hash-consed: the constructor returns the one live object with the given
+    ``terms`` (:data:`_INTERNED`), so equal values are one object, ``==`` is
+    identity, and a copied, unpickled or recomputed value is the object
+    already held: every zero is :data:`R_ZERO`.  The hash is that of the
+    field tuple, ``hash((terms,))``, computed once.  The constructor takes
+    ``terms`` as given; ``sqrt_poly``, ``coerce`` and ``from_polynomial``
+    are the checked entry points.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash", "__weakref__")
 
-    def __init__(self, terms: Tuple[Term, ...] = ()) -> None:
-        object.__setattr__(self, "terms", terms)
+    def __new__(cls, terms: Tuple[Term, ...] = ()) -> "RadicalSum":
+        ref = _INTERNED_REFS.get(terms)
+        value = None if ref is None else ref()
+        if value is None:
+            value = object.__new__(cls)
+            object.__setattr__(value, "terms", terms)
+            object.__setattr__(value, "_hash", hash((terms,)))
+            with _INTERN_LOCK:  # a thread that stored the value first wins
+                value = _INTERNED.setdefault(terms, value)
+        return value
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not RadicalSum:
-            return NotImplemented
-        return self.terms == other.terms
+    __eq__ = object.__eq__  # one object per value
 
-    __hash__ = Value.__hash__
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def _from_raw(raw: Iterable[Term]) -> "RadicalSum":
@@ -695,13 +705,7 @@ class RadicalSum(Value):
 
     @staticmethod
     def from_polynomial(p: NuPolynomial) -> "RadicalSum":
-        if p.is_zero:
-            return R_ZERO
-        if p == P_ONE:
-            return R_ONE
-        if p == P_MINUS_ONE:
-            return R_MINUS_ONE
-        return RadicalSum(((p, P_ONE),))
+        return RadicalSum(((p, P_ONE),)) if p.re else R_ZERO
 
     @staticmethod
     def sqrt_poly(p: Union[NuPolynomial, ScalarLike]) -> "RadicalSum":
@@ -756,16 +760,11 @@ class RadicalSum(Value):
     def __neg__(self) -> "RadicalSum":
         if not self.terms:
             return self
-        if self is R_ONE:
-            return R_MINUS_ONE
-        if self is R_MINUS_ONE:
-            return R_ONE
         return RadicalSum(tuple([(-c, r) for c, r in self.terms]))
 
     def __mul__(self, other) -> "RadicalSum":
         if not isinstance(other, RadicalSum):
             other = RadicalSum.coerce(other)
-        # the shared units; values equal to 1 or -1 built elsewhere take the general path
         if self is R_ONE:
             return other
         if other is R_ONE:
@@ -786,7 +785,7 @@ class RadicalSum(Value):
 
     def conjugate(self) -> "RadicalSum":
         if self.is_real:
-            return self  # equal entries stay one object; the operator kernel memoizes by id
+            return self
         return RadicalSum(tuple((c.conjugate(), r) for c, r in self.terms))
 
     @property
@@ -814,6 +813,13 @@ class RadicalSum(Value):
         )
 
 
+# Every live RadicalSum under its terms; a miss is stored under the lock, so
+# threads that build one value at once get one object.
+_INTERNED: "weakref.WeakValueDictionary[Tuple[Term, ...], RadicalSum]" = weakref.WeakValueDictionary()
+# its weak references by terms, read directly on the hot path: one dict lookup
+_INTERNED_REFS = _INTERNED.data
+_INTERN_LOCK = threading.Lock()
+
 R_ZERO = RadicalSum()
 R_ONE = RadicalSum(((P_ONE, P_ONE),))
 R_MINUS_ONE = RadicalSum(((P_MINUS_ONE, P_ONE),))
@@ -824,8 +830,15 @@ R_MINUS_ONE = RadicalSum(((P_MINUS_ONE, P_ONE),))
 ########################################################################
 
 
+def _require_nu(nu: float) -> None:
+    """ValueError unless nu lies in the domain of numeric evaluation: finite and > -1/2."""
+    if not (math.isfinite(nu) and nu > -0.5):
+        raise ValueError(f"numeric evaluation needs finite nu > -1/2, got {nu}")
+
+
 def numeric_eval(value: Union[NuPolynomial, RadicalSum], nu: float) -> complex:
-    """Evaluate at a real nu; radicands must be nonnegative up to tolerance."""
+    """Evaluate at a real nu, finite and > -1/2; radicands must be nonnegative up to tolerance."""
+    _require_nu(nu)
     if isinstance(value, NuPolynomial):
         return value.eval_complex(nu)
     if not isinstance(value, RadicalSum):

@@ -13,7 +13,6 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
-    _memo_scope,
     anticommutator,
     check_relation,
     check_specs,
@@ -49,7 +48,6 @@ def number_mask(dim: int) -> Set[int]:
     return set(range(dim - 1))
 
 
-@_memo_scope
 def single_mode_relation_specs(s: SingleModeSet) -> List[RelationSpec]:
     identity = OperatorMatrix.identity(s.a.basis)
     zero = OperatorMatrix.zeros(s.a.basis)

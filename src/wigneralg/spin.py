@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DimensionTooSmallError, InvalidSpinError, NonInvariantSubspaceError, OddTwoJNotClosedError
 from .operators import NU_GRID, Caveat, OperatorMatrix, RelationSpec, anticommutator, check_relation
-from .operators import _block, _memo_scope, check_specs, commutator, fock_basis, spin_basis
+from .operators import _block, check_specs, commutator, fock_basis, spin_basis
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import HALF, P_I, P_NU, P_TWO_NU, R_MINUS_ONE, R_ONE, NuPolynomial, RadicalSum, deformed_number
 from .scalars import ladder_level, numeric_eval
@@ -177,7 +177,6 @@ def _bracket_form(rep, z: OperatorMatrix) -> OperatorMatrix:
     return z + rep.p_op.scale(P_NU) + rep.k_op.scale(P_NU * NuPolynomial.from_coeffs([1, 2]))
 
 
-@_memo_scope
 def su_nu2_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     """The full deformed-su(2) relation set; block-invariant, so no masks."""
     identity = OperatorMatrix.identity(rep.basis)
@@ -238,7 +237,6 @@ def _odd_bracket_rhs(rep: SuNu2Rep, doubled_j: bool) -> OperatorMatrix:
 ODD_BRACKET_ID = "odd 2j: [J+,J-] = 2J0 + 2nu(2nu+2j+1) R_J (derived coefficient)"
 
 
-@_memo_scope
 def condensed_relation_specs(rep: SuNu2Rep) -> List[RelationSpec]:
     """Condensed odd/even-2j identities with the derived odd coefficient."""
     zero = OperatorMatrix.zeros(rep.basis)
@@ -341,7 +339,6 @@ def build_hp_rep(two_j: int) -> HPRep:
     return HPRep(two_j=two_j, j_plus=j_plus, j_minus=j_plus.adjoint(), j0=j0, r_op=r_op)
 
 
-@_memo_scope
 def hp_relation_specs(rep: HPRep) -> List[RelationSpec]:
     identity = OperatorMatrix.identity(rep.basis)
     return [
@@ -430,7 +427,6 @@ SO3_CAVEATS = {
 }
 
 
-@_memo_scope
 def so_nu3_relation_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     zero = OperatorMatrix.zeros(rep.basis)
     i2 = P_I * 2
@@ -461,7 +457,6 @@ def so_nu3_relation_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     ]
 
 
-@_memo_scope
 def so_nu3_condensed_specs(rep: SoNu3Rep) -> List[RelationSpec]:
     bracket = commutator(rep.l_x, rep.l_y)
     if rep.two_j % 2 == 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import OddTwoJNotClosedError
-from .operators import RelationSpec, _memo_scope, check_relation, check_specs, numeric_relation_report
+from .operators import RelationSpec, check_relation, check_specs, numeric_relation_report
 from .reports import AlgebraReport, CheckMode, Verdict, Witness, exact_report
 from .scalars import _cross_failure, _pair_failure, deformed_number
 from .single_mode import build_single_mode, single_mode_relation_specs, truncation_defect_report
@@ -68,11 +68,8 @@ RELATION_SETS: Dict[str, RelationSet] = {
     "two-mode": RelationSet("two-mode", lambda s: two_mode_relation_specs(s)),
     "su_nu2": RelationSet("js", lambda r: su_nu2_relation_specs(r)),
     "condensed": RelationSet("js", lambda r: condensed_relation_specs(r), lambda r: condensed_caveats(r)),
-    # both spec functions bracket [Lx,Ly]: one scope computes it once
     "so_nu3": RelationSet(
-        "so3",
-        _memo_scope(lambda r: so_nu3_relation_specs(r) + so_nu3_condensed_specs(r)),
-        lambda r: so_nu3_caveats(r),
+        "so3", lambda r: so_nu3_relation_specs(r) + so_nu3_condensed_specs(r), lambda r: so_nu3_caveats(r)
     ),
     "hp": RelationSet(
         "hp",
@@ -176,13 +173,11 @@ def number_suite(max_n: int = 50) -> List[AlgebraReport]:
     ]
 
 
-@_memo_scope
 def single_mode_suite(min_dim: int = 2, max_dim: int = 25, *, run: Optional[Run] = None) -> List[AlgebraReport]:
     """The single-mode relations and truncation defect at each dim from ``min_dim`` to ``max_dim``.
 
-    The dims hold the same ladder entries (:func:`~wigneralg.scalars.ladder_level`)
-    and every dim's spec list runs in this call's memo scope, so a product the
-    dims share is computed once.
+    The dims hold the same ladder entries (:func:`~wigneralg.scalars.ladder_level`),
+    so a product the dims share is computed once, in the operator kernel's memo.
     """
     run = run or Run()
     per_dim = []

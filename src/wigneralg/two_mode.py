@@ -13,7 +13,6 @@ from .errors import InvalidDimensionError
 from .operators import (
     OperatorMatrix,
     RelationSpec,
-    _memo_scope,
     anticommutator,
     check_specs,
     commutator,
@@ -69,7 +68,6 @@ def mode_mask(s: TwoModeSet, mode: int) -> Set[int]:
     }
 
 
-@_memo_scope
 def two_mode_relation_specs(s: TwoModeSet) -> List[RelationSpec]:
     identity = OperatorMatrix.identity(s.basis)
     zero = OperatorMatrix.zeros(s.basis)

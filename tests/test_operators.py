@@ -16,7 +16,6 @@ from wigneralg.operators import (
     SpinLabel,
     TwoModeLabel,
     _fused,
-    _memo_scope,
     anticommutator,
     check_relation,
     check_specs,
@@ -156,8 +155,8 @@ def _reference_forms(a, b):
     ]
 
 
-def test_scoped_memo_survives_freed_temporaries():
-    """Inside one spec-list scope the memos key by entry ids: a dropped temporary must not lend its ids."""
+def test_kernel_memo_survives_freed_temporaries():
+    """The process-wide memo holds the entries it is keyed by: freed temporaries cannot disturb it."""
     s = build_single_mode(6)
     so3 = build_so_nu3(5)  # Lx and Ly have two bands each, so their brackets sum two band pairs
     factors = range(2, 12)
@@ -171,59 +170,27 @@ def test_scoped_memo_survives_freed_temporaries():
         _, so_anti, _ = _reference_forms(l_x2, l_y2)
         expected += [brackets, anti, so_brackets, so_anti]
     del pairs
-
-    @_memo_scope
-    def brackets():
+    for rounds in range(2):  # the second round reads the memo the first one filled
         results = []
         for f in factors:
-            # scale builds fresh entry objects; each temporary dies after its bracket
+            # scale builds fresh entries; each temporary dies after its bracket
             results.append(commutator(s.a.scale(f), s.a_dag))
             results.append(anticommutator(s.a.scale(f), s.a_dag))
             results.append(commutator(so3.l_x.scale(f), so3.l_y))
             results.append(anticommutator(so3.l_x, so3.l_y.scale(f)))
             gc.collect()
-        return results
-
-    assert operators._scope.get() is None
-    assert brackets() == expected
-    assert operators._scope.get() is None
+        assert results == expected
 
 
-def test_scope_is_removed_when_a_spec_function_raises():
-    s = build_single_mode(3)
-
-    @_memo_scope
-    def failing():
-        assert operators._scope.get() is not None
-        commutator(s.a, s.a_dag)
-        raise RuntimeError("spec list failed")
-
-    with pytest.raises(RuntimeError):
-        failing()
-    assert operators._scope.get() is None
-    assert commutator(s.a, s.a_dag) == (s.a @ s.a_dag) - (s.a_dag @ s.a)
-
-
-def test_a_scoped_call_inside_another_joins_its_scope():
+def test_a_repeated_bracket_returns_the_same_entry_objects():
     s = build_single_mode(4)
-    scopes = []
-
-    @_memo_scope
-    def inner():
-        scopes.append(operators._scope.get())
-        return commutator(s.a, s.a_dag)
-
-    @_memo_scope
-    def outer():
-        scopes.append(operators._scope.get())
-        first = inner()
-        # the second bracket reads the first one's memo: every entry is the same object
-        second = inner()
-        return all(map(is_, first._bands[0], second._bands[0]))
-
-    assert outer()
-    assert scopes[0] is not None and scopes.count(scopes[0]) == 3
-    assert operators._scope.get() is None
+    first = commutator(s.a, s.a_dag)
+    # the second bracket reads the first one's memo entries, or recomputes equal ones: one object each
+    second = commutator(s.a, s.a_dag)
+    assert all(map(is_, first._bands[0], second._bands[0]))
+    operators._MEMO.clear()
+    third = commutator(build_single_mode(4).a, build_single_mode(4).a_dag)
+    assert all(map(is_, first._bands[0], third._bands[0]))
 
 
 # the fused kernel's entries repeat these objects, so its four-id keys recur across bands and calls
@@ -261,7 +228,6 @@ def test_fused_kernel_matches_reference_at_padded_edges(data):
         return [commutator(a, b), anticommutator(a, b), a @ b]
 
     assert forms() == expected
-    assert _memo_scope(forms)() == expected
     for nu in (0.0, 0.7):
         ea, eb = eval_matrix(a, nu), eval_matrix(b, nu)
         for matrix, dense in zip(expected, (ea @ eb - eb @ ea, ea @ eb + eb @ ea, ea @ eb)):
@@ -269,12 +235,12 @@ def test_fused_kernel_matches_reference_at_padded_edges(data):
 
 
 def test_zeros_that_are_not_the_zero_object_are_never_stored():
-    """An empty value other than R_ZERO (a merge builds one) must not keep a band alive."""
+    """No empty value other than R_ZERO exists, and no zero band is stored."""
     basis = fock_basis(3)
     zero = OperatorMatrix.zeros(basis)
     two_roots = RadicalSum.sqrt_poly(2) + RadicalSum.sqrt_poly(poly(1, 2))
-    # the merge of two_roots and its negation cancels to a fresh empty value
-    assert (two_roots + -two_roots).terms == () and (two_roots + -two_roots) is not R_ZERO
+    # the merge of two_roots and its negation cancels to the zero object
+    assert (two_roots + -two_roots) is R_ZERO and RadicalSum(()) is R_ZERO
     diag = OperatorMatrix.diagonal([two_roots] * 3, basis)
     assert diag + diag.scale(-1) == zero
     assert OperatorMatrix.diagonal([RadicalSum(), RadicalSum(), RadicalSum()], basis) == zero

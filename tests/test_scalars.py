@@ -27,6 +27,7 @@ from wigneralg.scalars import (
     deformed_factorial,
     deformed_number,
     format_terms,
+    ladder_level,
     numeric_eval,
     parity,
     radical_values_equal,
@@ -260,12 +261,12 @@ def test_values_equal_to_plus_minus_one_are_the_shared_objects():
     assert -R_ONE is R_MINUS_ONE and -R_MINUS_ONE is R_ONE
     assert R_MINUS_ONE * R_MINUS_ONE is R_ONE
     assert build_single_mode(4).n_op.entry(1, 1) is R_ONE
-    # other constants, and equal values built from terms, stay their own objects
+    # other constants keep their terms, and equal values built from terms are the shared objects
     assert RadicalSum.from_polynomial(poly(1, 0, 0)) is R_ONE
     assert RadicalSum.from_polynomial(poly(Fraction(1, 2))).terms == ((poly(Fraction(1, 2)), P_ONE),)
     assert RadicalSum.from_polynomial(poly(0, 1)).terms == ((poly(0, 1), P_ONE),)
     fresh = RadicalSum(R_ONE.terms)
-    assert fresh == R_ONE and fresh is not R_ONE and -fresh == R_MINUS_ONE
+    assert fresh is R_ONE and -fresh is R_MINUS_ONE
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,6 +296,14 @@ def test_numeric_eval_negative_radicand():
     assert numeric_eval(r * RadicalSum.from_polynomial(poly(3)) + RadicalSum.one(), -1.5e-12) == 1
     with pytest.raises(NegativeRadicandError):
         numeric_eval(r, -3e-12)
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), float("-inf"), -0.5, -1.0])
+def test_numeric_eval_refuses_nu_outside_its_domain(nu):
+    # at -1.0 the root sqrt([3]) = sqrt(3 + 2nu) once evaluated to 1, outside nu > -1/2
+    for value in (ladder_level(3).root, deformed_number(3)):
+        with pytest.raises(ValueError, match="finite nu > -1/2"):
+            numeric_eval(value, nu)
 
 
 def test_sqrt_poly_rejects_radicands_without_a_canonical_form():

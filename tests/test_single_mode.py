@@ -168,6 +168,37 @@ print("ok")
     ) == ["ok"]
 
 
+def test_threads_building_one_value_at_once_get_one_object():
+    assert _python(
+        """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from wigneralg.scalars import NuPolynomial, RadicalSum
+
+sys.setswitchinterval(1e-6)
+# no table holds sqrt(k + 3nu), so the threads make these values first
+radicands = [NuPolynomial((k, 3)) for k in range(1, 300)]
+start = threading.Barrier(4, timeout=60)
+
+def build(k):
+    start.wait()
+    forward = k % 2
+    roots = [RadicalSum.sqrt_poly(p) for p in (radicands if forward else radicands[::-1])]
+    products = [x * y for x, y in zip(roots, roots[1:])]
+    return roots + products if forward else roots[::-1] + products[::-1]
+
+with ThreadPoolExecutor(max_workers=4) as pool:
+    threaded = list(pool.map(build, range(4)))
+roots = [RadicalSum.sqrt_poly(p) for p in radicands]
+serial = roots + [x * y for x, y in zip(roots, roots[1:])]
+assert all(len(values) == len(serial) for values in threaded)
+assert all(a is b for values in threaded for a, b in zip(values, serial))
+print("ok")
+"""
+    ) == ["ok"]
+
+
 def test_audit_passes_for_all_dims():
     for dim in range(2, 26):
         reports = audit_single_mode(build_single_mode(dim))

@@ -223,11 +223,12 @@ def test_single_mode_suite_matches_fresh_families(monkeypatch, bad):
         assert (failed[0].witness.row, failed[0].witness.col, failed[0].witness.expected) == (bad - 1, bad - 1, "2")
 
 
-def test_verify_all_checks_the_single_mode_section_in_one_scope(monkeypatch):
+def test_verify_all_checks_the_single_mode_section_from_one_memo(monkeypatch):
     # dims 2..25 are built once each, the two-mode family at 10 and the grid's
-    # 12 read the section's sets, and the section checks its dims, which hold
-    # the same ladder levels, in one memo scope: checking each dim in its own
-    # scope made 1,597 scalar products in the section
+    # 12 read the section's sets, and the section's dims, which hold the same
+    # ladder levels, share the kernel's memo: a memo per dim made 1,597 scalar
+    # products in the section.  Counted from a cold memo, in any test order
+    operators._MEMO.clear()
     counts = Counter()
     inside = []
     multiply, section = RadicalSum.__mul__, suites.single_mode_suite

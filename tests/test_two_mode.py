@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from wigneralg import scalars, suites
+from wigneralg import operators, scalars, suites
 from wigneralg.errors import InvalidDimensionError
 from wigneralg.operators import OperatorMatrix, eval_matrix, tensor
 from wigneralg.reports import Verdict
@@ -146,6 +146,7 @@ def _scalar_products(work):
         term_products += 1
         return term_product(*args)
 
+    operators._MEMO.clear()  # counted from a cold memo, in any test order
     with mock.patch.object(RadicalSum, "__mul__", counting), mock.patch.object(
         scalars, "_term_product", counting_terms
     ):
@@ -154,11 +155,11 @@ def _scalar_products(work):
 
 
 def test_audit_computes_each_scalar_product_once_per_relation_set():
-    # the product kernel memoizes x*y by its unordered pair of entry objects
-    # for the whole spec list of one relation set, tensor(x, I) repeats each
-    # entry object down its band, adag shares a's entries and the two modes
-    # share their sqrt([n]) and n; a kernel without memos makes 5,296 products
-    # here, and one with a memo per bracket 1,646 (708 term products)
+    # the product kernel memoizes x*y by its unordered pair of entries for the
+    # process, tensor(x, I) repeats each entry down its band, adag shares a's
+    # entries and the two modes share their sqrt([n]) and n; a kernel without
+    # memos makes 5,296 products here, and one with a memo per bracket 1,646
+    # (708 term products)
     calls, term_products, reports = _scalar_products(lambda: audit_two_mode(build_two_mode(10, 10)))
     assert all(r.verdict is Verdict.PASS for r in reports)
     assert 0 < calls <= 885
@@ -166,8 +167,8 @@ def test_audit_computes_each_scalar_product_once_per_relation_set():
 
 
 def test_sweep_pass_scalar_products_stay_within_the_unfused_kernels_counts():
-    # one pass of the benchmark's two-mode sweep, d1, d2 in 2..10; the counts
-    # repeat exactly from pass to pass.  The bounds are the counts of the
+    # one pass of the benchmark's two-mode sweep, d1, d2 in 2..10; from a cold
+    # memo the counts repeat exactly from run to run.  The bounds are the counts of the
     # kernel that summed two products per bracket entry (26,565 and 4,293);
     # the fused kernel, which skips commuting band pairs, makes 11,347 and 1,333,
     # and 3,193 products once tensor repeats an entry down an identity factor

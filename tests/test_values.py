@@ -13,7 +13,7 @@ from wigneralg.cli import RunConfig
 from wigneralg.operators import FockLabel, OperatorMatrix, SpinLabel, TwoModeLabel, _block, fock_basis
 from wigneralg.realizations import BiPolynomial, build_quasi_basis
 from wigneralg.reports import NAN, AlgebraReport, CheckMode, Value, Verdict, Witness, exact_report
-from wigneralg.scalars import R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number
+from wigneralg.scalars import R_ONE, R_ZERO, GaussianRational, NuPolynomial, RadicalSum, deformed_number, ladder_level
 from wigneralg.single_mode import build_single_mode
 from wigneralg.two_mode import audit_two_mode, build_two_mode
 
@@ -94,9 +94,20 @@ def test_values_of_different_types_never_compare_equal():
     assert GaussianRational(Fraction(1)) != Fraction(1)
     assert BiPolynomial((NuPolynomial((1,)),)) != RadicalSum.from_polynomial(NuPolynomial((1,)))
     assert FAILED != ("x", CheckMode.EXACT, 0.5, Verdict.FAIL, "c", WITNESS)
-    # equal values of one type are equal, whether or not they are one object
+    # equal values of one type are equal; radical sums are one object per value
     assert RadicalSum.sqrt_poly(deformed_number(3)) == RadicalSum.sqrt_poly(deformed_number(3))
-    assert RadicalSum(R_ONE.terms) == R_ONE and RadicalSum(R_ONE.terms) is not R_ONE
+    assert RadicalSum(R_ONE.terms) is R_ONE
+
+
+def test_radical_sums_are_hash_consed():
+    root = ladder_level(3).root
+    assert RadicalSum.sqrt_poly(0) is R_ZERO and RadicalSum.sqrt_poly(1) is R_ONE
+    assert (R_ONE + R_ONE - R_ONE) is R_ONE
+    assert RadicalSum.coerce(2) * RadicalSum.coerce(Fraction(1, 2)) is R_ONE
+    for x in (R_ZERO, R_ONE, root):
+        assert copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+        # the cached hash is the field tuple's, as for every value type
+        assert hash(x) == hash((x.terms,))
 
 
 def test_polynomials_refuse_assignment_and_keep_their_hash():

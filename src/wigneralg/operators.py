@@ -356,14 +356,14 @@ def _fused(a: OperatorMatrix, b: OperatorMatrix, sign: int) -> OperatorMatrix:
     ``A_k[i]*B_l[i+k] + sign*B_l[i]*A_k[i+l]``, reading the second factor of
     each term from a band padded with ``dim`` zeros on each side.  Each entry
     is looked up in :data:`_MEMO` under its two entries (a product) or its
-    four entries and sign; on a miss its products come from the same memo.  A commutator's band pair that cancels entry by entry
-    (:func:`_cancels`) adds nothing and is skipped.
+    four entries and sign; on a miss its products come from the same memo.
+    A commutator's band pair that cancels entry by entry (:func:`_cancels`)
+    adds nothing and is skipped.
     """
     a._require_same_space(b)
     if len(_MEMO) >= _MEMO_SIZE:
         _MEMO.clear()
     dim = a.dim
-    entry, signs = (_bracket_entry, [repeat(sign)]) if sign else (_product, [])
     pad = (R_ZERO,) * dim
     padded = {id(band): pad + band + pad for band in (*a._bands.values(), *b._bands.values())}
     acc: Dict[int, List[RadicalSum]] = {}
@@ -377,12 +377,14 @@ def _fused(a: OperatorMatrix, b: OperatorMatrix, sign: int) -> OperatorMatrix:
                 continue
             # entries i, i+k and i+l, for i in lo..hi-1, of padded bands, whose entry i is at dim + i
             at_i, at_ik = slice(dim + lo, dim + hi), slice(dim + lo + k, dim + hi + k)
-            columns = [a_padded[at_i], b_padded[at_ik]]
+            xs, ys = a_padded[at_i], b_padded[at_ik]
             if sign:
-                columns += (b_padded[at_i], a_padded[slice(dim + lo + l, dim + hi + l)])
-                if sign < 0 and _cancels(*columns):
+                us, vs = b_padded[at_i], a_padded[slice(dim + lo + l, dim + hi + l)]
+                if sign < 0 and _cancels(xs, ys, us, vs):
                     continue
-            values = _memoized(entry, _MEMO, columns + signs)
+                values = _memoized(_bracket_entry, _MEMO, (xs, ys, us, vs, repeat(sign)))
+            else:
+                values = list(map(_product, xs, ys))
             out = acc.get(m)
             if out is None:
                 acc[m] = [R_ZERO] * lo + values + [R_ZERO] * (dim - hi)
@@ -544,8 +546,6 @@ def check_specs(
             )
         reports.append(report)
     return reports
-
-
 
 
 def eval_matrix(a: OperatorMatrix, nu: float) -> np.ndarray:

@@ -663,13 +663,22 @@ class RadicalSum(Value):
 
     def __new__(cls, terms: Tuple[Term, ...] = ()) -> "RadicalSum":
         ref = _INTERNED_REFS.get(terms)
-        value = None if ref is None else ref()
-        if value is None:
-            value = object.__new__(cls)
-            object.__setattr__(value, "terms", terms)
-            object.__setattr__(value, "_hash", hash((terms,)))
-            with _INTERN_LOCK:  # a thread that stored the value first wins
-                value = _INTERNED.setdefault(terms, value)
+        if ref is not None:
+            value = ref()
+            if value is not None:
+                return value
+        value = object.__new__(cls)
+        _set_terms(value, terms)
+        _set_sum_hash(value, hash((terms,)))
+        ref = _KeyedRef(value, _INTERNED._remove)
+        ref.key = terms
+        with _INTERN_LOCK:  # a thread that stored the value first wins
+            held = _INTERNED_REFS.setdefault(terms, ref)
+            if held is not ref:
+                first = held()
+                if first is not None:
+                    return first
+                _INTERNED_REFS[terms] = ref  # held died: its removal leaves a live reference in place
         return value
 
     __eq__ = object.__eq__  # one object per value
@@ -813,12 +822,20 @@ class RadicalSum(Value):
         )
 
 
+class _KeyedRef(weakref.ref):
+    """weakref.KeyedRef without its Python-level constructor: the key is set after construction."""
+
+    __slots__ = ("key",)
+
+
 # Every live RadicalSum under its terms; a miss is stored under the lock, so
 # threads that build one value at once get one object.
 _INTERNED: "weakref.WeakValueDictionary[Tuple[Term, ...], RadicalSum]" = weakref.WeakValueDictionary()
-# its weak references by terms, read directly on the hot path: one dict lookup
+# its weak references by terms, read and written directly on the hot path
 _INTERNED_REFS = _INTERNED.data
 _INTERN_LOCK = threading.Lock()
+_set_terms = RadicalSum.terms.__set__
+_set_sum_hash = RadicalSum._hash.__set__
 
 R_ZERO = RadicalSum()
 R_ONE = RadicalSum(((P_ONE, P_ONE),))

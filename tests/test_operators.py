@@ -235,7 +235,7 @@ def test_fused_kernel_matches_reference_at_padded_edges(data):
 
 
 def test_zeros_that_are_not_the_zero_object_are_never_stored():
-    """No empty value other than R_ZERO exists, and no zero band is stored."""
+    """Every zero, a cancelling merge's too, is R_ZERO, so no other zero can be stored; no zero band is stored."""
     basis = fock_basis(3)
     zero = OperatorMatrix.zeros(basis)
     two_roots = RadicalSum.sqrt_poly(2) + RadicalSum.sqrt_poly(poly(1, 2))
